@@ -27,11 +27,6 @@ TEXT_MATRIX_LIMIT = 12
 HASSE_LIMIT = 10
 
 
-def _universe_size(k: int, m: int) -> int:
-    """Chain universe size above a level-k root up to level k+m."""
-    return f_falling(k + m, m)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cobweb",
@@ -138,8 +133,11 @@ class _Output:
 
     def write(self, text: str) -> None:
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(self.path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write --out: {exc}") from exc
         else:
             sys.stdout.write(text)
 
@@ -270,14 +268,14 @@ def _cmd_tiling(args, out: _Output) -> int:
     if args.count_all:
         # solve first: the guards live behind these calls
         covers = tiling.count_all_tilings(args.k, args.r, args.m, args.unsafe_limits)
-        universe = _universe_size(args.k, args.m)
+        universe = f_falling(args.k + args.m, args.m)
         candidates = tiling.copy_count(args.k, args.m)
         result = {"universe": universe, "candidates": candidates, "covers": covers}
         record = _record("tiling", {**inputs, "count_all": True}, result)
         out.emit(record, [f"covers {covers}"], [[covers]])
         return 0
     solution = tiling.find_tiling(args.k, args.r, args.m, args.unsafe_limits)
-    universe = _universe_size(args.k, args.m)
+    universe = f_falling(args.k + args.m, args.m)
     candidates = tiling.copy_count(args.k, args.m)
     if solution is None:
         result = {
@@ -438,6 +436,8 @@ _GRAPH_COMMANDS = {"hasse"}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # results are exact decimals of any length
     args = _build_parser().parse_args(argv)
     if args.format == "dot" and args.command not in _GRAPH_COMMANDS:
         print("error: dot output is valid only for graph-producing commands", file=sys.stderr)

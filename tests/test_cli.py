@@ -4,6 +4,7 @@ import pytest
 
 from fibcobweb import verify
 from fibcobweb.cli import main
+from fibcobweb.seqcore import fibonomial
 from fibcobweb.verify import CheckResult
 
 
@@ -17,6 +18,13 @@ def test_fibonomial_value(capsys):
     code, out, _ = run(capsys, "fibonomial", "5", "2")
     assert code == 0
     assert out == "15\n"
+
+
+def test_fibonomial_long_decimal(capsys):
+    code, out, _ = run(capsys, "fibonomial", "300", "150")
+    assert code == 0
+    assert out == f"{fibonomial(300, 150)}\n"
+    assert len(out) > 4300
 
 
 def test_fibonomial_boundary(capsys):
@@ -219,6 +227,22 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "15\n"
+
+
+def test_out_missing_directory(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "result.txt"
+    code, out, err = run(capsys, "fibonomial", "5", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not target.exists()
+
+
+def test_out_is_directory(tmp_path, capsys):
+    code, out, err = run(capsys, "fibonomial", "5", "2", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_json_record_shape(capsys):
