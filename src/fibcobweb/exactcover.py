@@ -48,19 +48,27 @@ def _covers(
                     if e2 != elem and e2 in columns:
                         columns[e2].add(other)
 
-    def search() -> Iterator[list[int]]:
-        if not columns:
+    # Depth-first search on an explicit stack: pending[d] iterates the rows of
+    # the column opened at depth d, chosen[d] is the row tried there.
+    undo: list[list[set[int]]] = []
+    pending: list[Iterator[int]] = []
+    while True:
+        if columns:
+            col = min(columns, key=lambda c: (len(columns[c]), c))
+            pending.append(iter(sorted(columns[col])))
+        else:
             yield list(chosen)
+        while pending:
+            if len(chosen) == len(pending):
+                uncover(chosen.pop(), undo.pop())
+            row = next(pending[-1], None)
+            if row is not None:
+                chosen.append(row)
+                undo.append(cover(row))
+                break
+            pending.pop()
+        else:
             return
-        col = min(columns, key=lambda c: (len(columns[c]), c))
-        for row in sorted(columns[col]):
-            chosen.append(row)
-            removed = cover(row)
-            yield from search()
-            uncover(row, removed)
-            chosen.pop()
-
-    yield from search()
 
 
 def solve_first(

@@ -9,7 +9,6 @@ instead of silently truncating. Indexing is fixed at F_0 = 0, F_1 = F_2 = 1.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 
 _fib_cache = [0, 1]
 _fib_lock = threading.Lock()
@@ -34,16 +33,6 @@ def fib(n: int) -> int:
         while len(_fib_cache) <= n:
             _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
         return _fib_cache[n]
-
-
-def _fib_extended(n: int) -> int:
-    # Backward extension F_{-m} = (-1)^{m+1} F_m; only needed by the B-form
-    # recurrence at its k = n boundary (F_{-1} = 1).
-    if n >= 0:
-        return fib(n)
-    m = -n
-    value = fib(m)
-    return value if m % 2 == 1 else -value
 
 
 def f_factorial(n: int) -> int:
@@ -81,34 +70,40 @@ def fibonomial(n: int, k: int) -> int:
 VARIANTS = ("A", "B")
 
 
+def _triangle(n: int, k: int, step, one, zero):
+    """Entry (n, k) of T(i, 0) = one, T(0, j > 0) = zero and
+    T(i, j) = step(i, j, T(i-1, j), T(i-1, j-1)), by sweeping one row over
+    the band i - (n - k) <= j <= min(i, k) that T(n, k) depends on."""
+    if k > n:
+        return zero
+    row = [one] + [zero] * k
+    for i in range(1, n + 1):
+        for j in range(min(i, k), max(1, i - (n - k)) - 1, -1):
+            row[j] = step(i, j, row[j], row[j - 1])
+    return row[k]
+
+
 def fibonomial_rec(n: int, k: int, variant: str = "A") -> int:
     """Fibonomial coefficient computed purely by one of the two recurrences.
 
     Variant A expands (n k) as F_{k-1}(n-1 k) + F_{n+1-k}(n-1 k-1), variant B
     as F_{k+1}(n-1 k) + F_{n-1-k}(n-1 k-1); both start from (n 0) = 1 and
-    (0 k) = 0 for k > 0. Entries with k > n are 0 (every expansion path
-    bottoms out at such a base case).
+    (0 k) = 0 for k > 0, and entries with k > n are 0. The value comes from
+    an iterative band sweep of the triangle, in O(n k) steps and O(k) space.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    return _fibonomial_rec(n, k, variant)
-
-
-@lru_cache(maxsize=None)
-def _fibonomial_rec(n: int, k: int, variant: str) -> int:
-    if k == 0:
-        return 1
-    if n == 0 or k > n:
-        return 0
+    F = [fib(i) for i in range(n + 2)]
     if variant == "A":
-        return fib(k - 1) * _fibonomial_rec(n - 1, k, variant) + fib(
-            n + 1 - k
-        ) * _fibonomial_rec(n - 1, k - 1, variant)
-    return fib(k + 1) * _fibonomial_rec(n - 1, k, variant) + _fib_extended(
-        n - 1 - k
-    ) * _fibonomial_rec(n - 1, k - 1, variant)
+        return _triangle(
+            n, k, lambda i, j, up, left: F[j - 1] * up + F[i + 1 - j] * left, 1, 0
+        )
+    # B reaches F_{-1} = F_1 = 1 at j = i, the only negative index.
+    return _triangle(
+        n, k, lambda i, j, up, left: F[j + 1] * up + F[abs(i - 1 - j)] * left, 1, 0
+    )
 
 
 class IntPolynomial:
@@ -252,17 +247,12 @@ class IntPolynomial:
 
 
 def q_binomial(n: int, k: int) -> IntPolynomial:
-    """Gaussian binomial polynomial in q; the zero polynomial when k > n."""
+    """Gaussian binomial polynomial in q; the zero polynomial when k > n.
+
+    The value comes from an iterative band sweep of the q-Pascal rule
+    (n k) = q^k (n-1 k) + (n-1 k-1).
+    """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    return _q_binomial(n, k)
-
-
-@lru_cache(maxsize=None)
-def _q_binomial(n: int, k: int) -> IntPolynomial:
-    # q-Pascal rule: (n k) = (n-1 k-1) + q^k (n-1 k)
-    if k == 0:
-        return IntPolynomial.one()
-    if k > n:
-        return IntPolynomial.zero()
-    return _q_binomial(n - 1, k - 1) + _q_binomial(n - 1, k).shift(k)
+    one, zero = IntPolynomial.one(), IntPolynomial.zero()
+    return _triangle(n, k, lambda i, j, up, left: up.shift(j) + left, one, zero)

@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence, Union
 
 from .guards import ensure_within
+from .seqcore import _triangle
 
 ORACLE_LIMIT = 12
 
@@ -71,19 +72,13 @@ def _coerce(w: Weights) -> tuple:
 def c_coeff(w: Weights, k: int) -> int:
     """First-kind coefficient: sum of products over k strictly increasing boxes.
 
-    Computed by the recurrence C_k^n = C_k^{n-1} + w_n C_{k-1}^{n-1} with
-    C_0^n = 1 and C_k^0 = 0 for k > 0.
+    Computed by a band sweep of the recurrence
+    C_k^n = C_k^{n-1} + w_n C_{k-1}^{n-1} with C_0^n = 1 and C_k^0 = 0 for k > 0.
     """
     ws = _coerce(w)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k > len(ws):
-        return 0
-    row = [1] + [0] * k  # row[j] = C_j over the current prefix
-    for w_i in ws:
-        for j in range(min(k, len(row) - 1), 0, -1):
-            row[j] = row[j] + w_i * row[j - 1]
-    return row[k]
+    return _triangle(len(ws), k, lambda i, j, up, left: up + ws[i - 1] * left, 1, 0)
 
 
 def s_coeff(w: Weights, k: int) -> int:

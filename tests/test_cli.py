@@ -124,6 +124,15 @@ def test_tiling_valid(capsys):
     assert sum(1 for line in lines if line.startswith("chain ")) == 15
 
 
+def test_tiling_deeper_than_the_recursion_limit(capsys):
+    # 1870 copies, one search level each
+    code, out, _ = run(capsys, "tiling", "8", "1", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert f"copies {fibonomial(10, 2)}" in lines
+    assert lines[-1] == "verdict VALID"
+
+
 def test_tiling_no_cover(capsys):
     code, out, _ = run(capsys, "tiling", "2", "1", "3")
     assert code == 0

@@ -1,6 +1,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibcobweb.seqcore import (
     IntPolynomial,
@@ -118,6 +120,21 @@ def test_fibonomial_rec_matches_product_formula():
             assert fibonomial_rec(n, k, "B") == want
 
 
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_fibonomial_rec_deeper_than_the_recursion_limit(variant):
+    assert fibonomial_rec(2500, 2, variant) == fibonomial(2500, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fibonomial_routes_agree(data):
+    n = data.draw(st.integers(0, 200))
+    k = data.draw(st.integers(0, n + 2))
+    want = fibonomial(n, k)
+    assert fibonomial_rec(n, k, "A") == want
+    assert fibonomial_rec(n, k, "B") == want
+
+
 def test_fibonomial_rec_rejects_bad_arguments():
     with pytest.raises(ValueError):
         fibonomial_rec(3, 1, "C")
@@ -166,6 +183,12 @@ def test_q_binomial_degree():
     for n in range(9):
         for k in range(n + 1):
             assert q_binomial(n, k).degree == k * (n - k)
+
+
+def test_q_binomial_deeper_than_the_recursion_limit():
+    poly = q_binomial(1100, 1)  # 1 + q + ... + q^1099
+    assert poly.evaluate(1) == 1100
+    assert poly.degree == 1099
 
 
 def test_polynomial_canonical_form():

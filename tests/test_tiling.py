@@ -114,6 +114,26 @@ def test_find_tiling_deterministic():
     assert a.assignment == b.assignment
 
 
+def test_find_tiling_search_order_is_pinned():
+    # the first cover in the search order: one position each on levels 1
+    # and 2, consecutive pairs on level 3
+    chosen = [c.chosen for c in find_tiling(3, 1, 3).copies]
+    assert chosen == [
+        ((a,), (b,), pair)
+        for a in (1, 2, 3)
+        for b in (1, 2, 3, 4, 5)
+        for pair in ((1, 2), (3, 4), (5, 6), (7, 8))
+    ]
+
+
+def test_find_tiling_deeper_than_the_recursion_limit():
+    # 1870 copies, one search level each
+    solution = find_tiling(8, 1, 2)
+    assert solution is not None
+    assert len(solution.copies) == fibonomial(10, 2)
+    assert verify_tiling(solution)
+
+
 def test_verify_tiling_rejects_tampering():
     solution = find_tiling(3, 1, 2)
     assert verify_tiling(solution)
