@@ -278,6 +278,7 @@ def _cmd_tiling(args, out: _Output) -> int:
     universe = f_falling(args.k + args.m, args.m)
     candidates = tiling.copy_count(args.k, args.m)
     if solution is None:
+        reason = tiling.no_cover_reason(args.k, args.m) or "exhaustive search"
         result = {
             "universe": universe,
             "candidates": candidates,
@@ -291,7 +292,7 @@ def _cmd_tiling(args, out: _Output) -> int:
                 f"tiling k={args.k} r={args.r} m={args.m}",
                 f"universe {universe}",
                 f"candidates {candidates}",
-                "NO COVER (exhaustive search)",
+                f"NO COVER ({reason})",
             ],
             [["NO COVER"]],
         )

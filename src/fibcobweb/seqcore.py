@@ -124,6 +124,16 @@ class IntPolynomial:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of_ints(cls, cs: list) -> "IntPolynomial":
+        """Result of arithmetic on int coefficients: strips trailing zeros
+        but skips the per-coefficient type check of the public constructor."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(cs))
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
 
@@ -167,12 +177,12 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial._of_ints(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial._of_ints([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
@@ -181,7 +191,7 @@ class IntPolynomial:
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+            return IntPolynomial._of_ints([c * other for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -192,7 +202,7 @@ class IntPolynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial._of_ints(out)
 
     __rmul__ = __mul__
 
@@ -200,7 +210,7 @@ class IntPolynomial:
         """Multiply by q^power."""
         if self.is_zero():
             return self
-        return IntPolynomial((0,) * power + self.coeffs)
+        return IntPolynomial._of_ints([0] * power + list(self.coeffs))
 
     def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
         """Polynomial long division; raises unless the division is exact."""
@@ -222,7 +232,7 @@ class IntPolynomial:
                     rem[i + j] -= c * d
         if any(rem):
             raise AssertionError("inexact polynomial division")
-        return IntPolynomial(out)
+        return IntPolynomial._of_ints(out)
 
     def evaluate(self, x: int) -> int:
         value = 0

@@ -4,8 +4,13 @@ A copy of the height-m prototype rooted at vertex (r, k) picks, independently
 for each offset s = 1..m, an F_s-subset of the positions at level k+s. Its
 maximal chains form the Cartesian product of the chosen subsets. A tiling is
 an exact cover: a family of copies with one shared root whose chain families
-partition all maximal chains from the root up to level k+m. Searches are
-exhaustive and deterministic, so a None result means no cover exists among
+partition all maximal chains from the root up to level k+m.
+
+For each fixed chain prefix, the copies containing it split the F_{k+m} top
+positions into F_m-sets, so a tiling needs F_m | F_{k+m} (equivalently, since
+gcd(F_a, F_b) = F_{gcd(a, b)}: m <= 2 or m | k). A None result from
+find_tiling means either that this divisibility rule fails, so no search ran,
+or that the exhaustive, deterministic exact-cover search found no cover among
 the candidate copies.
 """
 
@@ -62,10 +67,7 @@ def copy_count(k: int, m: int) -> int:
     return math.prod(math.comb(fib(k + s), fib(s)) for s in range(1, m + 1))
 
 
-def enumerate_copies(
-    k: int, r: int, m: int, unsafe_limits: bool = False
-) -> List[CopySpec]:
-    """All copies rooted at (r, k), ordered lexicographically by chosen subsets."""
+def _check_copy_space(k: int, r: int, m: int, unsafe_limits: bool) -> None:
     _validate_root(k, r)
     if m < 1:
         raise ValueError(f"height must be >= 1, got {m}")
@@ -75,12 +77,31 @@ def enumerate_copies(
     for s in range(1, m + 1):
         running *= math.comb(fib(k + s), fib(s))
         ensure_within("candidate copy count", running, CANDIDATE_LIMIT, unsafe_limits)
+
+
+def _copies(k: int, r: int, m: int) -> List[CopySpec]:
     per_level = [
         sorted(combinations(range(1, fib(k + s) + 1), fib(s)))
         for s in range(1, m + 1)
     ]
     root = VertexCoord(r, k)
     return [CopySpec(root, chosen) for chosen in product(*per_level)]
+
+
+def enumerate_copies(
+    k: int, r: int, m: int, unsafe_limits: bool = False
+) -> List[CopySpec]:
+    """All copies rooted at (r, k), ordered lexicographically by chosen subsets."""
+    _check_copy_space(k, r, m, unsafe_limits)
+    return _copies(k, r, m)
+
+
+def no_cover_reason(k: int, m: int) -> Optional[str]:
+    """Why no height-m tiling above a level-k root can exist, or None when
+    the divisibility rule F_m | F_{k+m} allows one."""
+    if fib(k + m) % fib(m):
+        return f"F_{m} does not divide F_{k + m}"
+    return None
 
 
 def chains_of_copy(c: CopySpec) -> frozenset:
@@ -109,13 +130,18 @@ def ratio_identity(n: int, k: int) -> bool:
 def find_tiling(
     k: int, r: int, m: int, unsafe_limits: bool = False
 ) -> Optional[TilingSolution]:
-    """Search for a tiling by exact cover; None when the search exhausts.
+    """Search for a tiling by exact cover.
 
+    None when no_cover_reason(k, m) rules a tiling out, checked after the
+    guards and before any candidate is built, or when the search exhausts.
     A solution necessarily has universe/family = fibonomial(k+m, m) copies.
     """
     universe_size = f_falling(k + m, m)
     ensure_within("chain universe size", universe_size, UNIVERSE_LIMIT, unsafe_limits)
-    candidates = enumerate_copies(k, r, m, unsafe_limits)
+    _check_copy_space(k, r, m, unsafe_limits)
+    if no_cover_reason(k, m):
+        return None
+    candidates = _copies(k, r, m)
     universe = chain_universe(k, m)
     families = [chains_of_copy(c) for c in candidates]
     rows = exactcover.solve_first(universe, families)
@@ -129,12 +155,18 @@ def find_tiling(
 
 
 def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> int:
-    """Number of distinct tilings; guarded tightly because counts explode."""
+    """Number of distinct tilings; guarded tightly because counts explode.
+
+    0 without a search when no_cover_reason(k, m) rules a tiling out.
+    """
     universe_size = f_falling(k + m, m)
     ensure_within(
         "chain universe size (count-all)", universe_size, COUNT_ALL_LIMIT, unsafe_limits
     )
-    candidates = enumerate_copies(k, r, m, unsafe_limits)
+    _check_copy_space(k, r, m, unsafe_limits)
+    if no_cover_reason(k, m):
+        return 0
+    candidates = _copies(k, r, m)
     return exactcover.count_covers(
         chain_universe(k, m), [chains_of_copy(c) for c in candidates]
     )

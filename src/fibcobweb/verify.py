@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import cobweb, fence, gvpaths, tiling, weighted
+from . import cobweb, exactcover, fence, gvpaths, tiling, weighted
 from .seqcore import (
     f_factorial,
     f_falling,
@@ -337,6 +337,21 @@ def check_recurrence_decomposition(max_n: int = 30) -> CheckResult:
     return _result("two-class recurrence split", None, f"n <= {max_n}")
 
 
+def check_divisibility_rule(
+    instances: Tuple[Tuple[int, int], ...] = TILING_INSTANCES + ((1, 4), (3, 3))
+) -> CheckResult:
+    """The rule behind find_tiling's NO COVER shortcut, against the exhaustive
+    search run directly: no exact cover exists exactly when F_m does not
+    divide F_{k+m}."""
+    name = "divisibility rule vs exact-cover search"
+    for k, m in instances:
+        families = [tiling.chains_of_copy(c) for c in tiling.enumerate_copies(k, 1, m)]
+        no_cover = exactcover.solve_first(tiling.chain_universe(k, m), families) is None
+        if no_cover != (tiling.no_cover_reason(k, m) is not None):
+            return _result(name, f"(k, m) = ({k}, {m})")
+    return _result(name, None, f"(k, m) in {instances}")
+
+
 def tiling_outcomes(
     instances: Tuple[Tuple[int, int], ...] = TILING_INSTANCES, r: int = 1
 ) -> Dict[Tuple[int, int], Optional[tiling.TilingSolution]]:
@@ -346,12 +361,13 @@ def tiling_outcomes(
 def check_tiling_instances(
     instances: Tuple[Tuple[int, int], ...] = TILING_INSTANCES
 ) -> CheckResult:
-    """Exact-cover outcomes: every found tiling must verify and carry exactly
-    fibonomial(k+m, m) copies; exhausted searches are reported explicitly."""
+    """find_tiling outcomes: every found tiling must verify and carry exactly
+    fibonomial(k+m, m) copies; absent tilings are reported with their reason."""
     found, absent = [], []
     for (k, m), solution in tiling_outcomes(instances).items():
         if solution is None:
-            absent.append(f"({k},{m})")
+            reason = tiling.no_cover_reason(k, m) or "exhaustive search"
+            absent.append(f"({k},{m}) {reason}")
             continue
         expected = fibonomial(k + m, m)
         if not tiling.verify_tiling(solution):
@@ -365,7 +381,7 @@ def check_tiling_instances(
         found.append(f"({k},{m})")
     detail = f"tilings found: {', '.join(found) or 'none'}"
     if absent:
-        detail += f"; no cover exists (exhaustive search): {', '.join(absent)}"
+        detail += f"; no cover exists: {', '.join(absent)}"
     return CheckResult("tiling search on contract instances", True, detail)
 
 
@@ -460,6 +476,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
         check_universe_arithmetic,
         check_ratio_identity,
         check_recurrence_decomposition,
+        check_divisibility_rule,
         check_tiling_instances,
     ),
     "paths": (

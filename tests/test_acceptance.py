@@ -117,7 +117,8 @@ def test_criterion_5_tiling_instances():
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"instance ({k},{m}) exceeded its 10s budget"
         if solution is None:
-            outcomes.append(f"({k},{m}): no cover exists (exhaustive search)")
+            reason = f"F_{m} does not divide F_{k + m}"
+            outcomes.append(f"({k},{m}): no cover exists ({reason})")
             continue
         assert tiling.verify_tiling(solution)
         assert len(solution.copies) == fibonomial(k + m, m)
@@ -139,7 +140,7 @@ def test_criterion_5_tiling_instances():
     assert "no cover exists" in check.detail
     print(
         "criterion 5: PASS (verified tilings for (1,1),(1,2),(2,2),(3,2);"
-        " exhaustive search reports no cover for (1,3),(2,3))"
+        " the divisibility rule reports no cover for (1,3),(2,3))"
     )
 
 

@@ -205,6 +205,7 @@ def test_polynomial_arithmetic():
     assert (p * q).coeffs == (-1, -1, 2, 2)
     assert (3 * p).coeffs == (3, 3)
     assert p.shift(2).coeffs == (0, 0, 1, 1)
+    assert (p - p).is_zero() and (0 * p).is_zero()
     assert p.evaluate(5) == 6
     assert IntPolynomial.monomial(3, 4).coeffs == (0, 0, 0, 4)
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from fibcobweb import exactcover
 from fibcobweb.cobweb import VertexCoord
 from fibcobweb.guards import GuardExceeded
 from fibcobweb.seqcore import f_factorial, fib, fibonomial
@@ -14,6 +15,7 @@ from fibcobweb.tiling import (
     count_all_tilings,
     enumerate_copies,
     find_tiling,
+    no_cover_reason,
     ratio_identity,
     recurrence_decomposition_check,
     verify_tiling,
@@ -85,7 +87,7 @@ def test_ratio_identity_examples():
 
 
 FEASIBLE = [(1, 1, 1), (1, 1, 2), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 1, 3)]
-COVERLESS = [(1, 1, 3), (2, 1, 3)]
+COVERLESS = [(1, 1, 3), (2, 1, 3), (2, 1, 4), (4, 1, 3), (1, 1, 5)]
 
 
 @pytest.mark.parametrize("k,r,m", FEASIBLE)
@@ -105,6 +107,40 @@ def test_find_tiling_exhausts(k, r, m):
 def test_find_tiling_guard():
     with pytest.raises(GuardExceeded):
         find_tiling(1, 1, 10)
+
+
+def test_guards_and_validation_come_before_the_divisibility_rule():
+    # each instance below fails the rule, so a pre-check placed too early
+    # would return None or 0 instead of raising
+    with pytest.raises(GuardExceeded):
+        find_tiling(1, 1, 6)  # 4324320 candidates
+    with pytest.raises(GuardExceeded):
+        count_all_tilings(1, 1, 5)  # 240-chain universe
+    for call in (find_tiling, count_all_tilings):
+        with pytest.raises(ValueError):
+            call(2, 1, 0)
+        with pytest.raises(ValueError):
+            call(2, 2, 3)  # level 2 has 1 position
+        with pytest.raises(ValueError):
+            call(0, 1, 3)
+
+
+def test_divisibility_rule_closed_form():
+    # gcd(F_a, F_b) = F_gcd(a, b): F_m | F_{k+m} exactly when m <= 2 or m | k
+    for k in range(1, 31):
+        for m in range(1, 31):
+            assert (no_cover_reason(k, m) is None) == (m <= 2 or k % m == 0)
+    assert no_cover_reason(2, 3) == "F_3 does not divide F_5"
+
+
+@pytest.mark.parametrize(
+    "k,r,m", [(1, 1, 3), (2, 1, 3), (1, 1, 4), (3, 1, 3), (3, 2, 3), (2, 1, 4)]
+)
+def test_divisibility_rule_matches_direct_search(k, r, m):
+    # the exhaustive search, not through find_tiling; (2, 1, 4) takes ~1 s
+    families = [chains_of_copy(c) for c in enumerate_copies(k, r, m)]
+    no_cover = exactcover.solve_first(chain_universe(k, m), families) is None
+    assert no_cover == (no_cover_reason(k, m) is not None)
 
 
 def test_find_tiling_deterministic():
@@ -184,6 +220,7 @@ def test_count_all_tilings():
     assert count_all_tilings(2, 1, 2) == 1
     assert count_all_tilings(3, 1, 2) == 1
     assert count_all_tilings(1, 1, 3) == 0
+    assert count_all_tilings(2, 1, 3) == 0
     with pytest.raises(GuardExceeded):
         count_all_tilings(3, 1, 3)  # 120-chain universe over the count-all limit
 
