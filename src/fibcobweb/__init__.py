@@ -2,8 +2,9 @@
 
 Fibonomial coefficients and their recurrences, the cobweb poset's incidence
 algebra (order-indicator and Mobius matrices, chain counts), max-disjoint
-copy tilings by exact cover, weighted-box binomial coefficients, binomial
-path determinants, and fence-poset ideal counts -- all over exact integers.
+copy tilings built from Fibonacci blocks, weighted-box binomial coefficients,
+binomial path determinants, and fence-poset ideal counts -- all over exact
+integers.
 """
 
 __version__ = "0.1.0"

@@ -245,13 +245,8 @@ def _chain_text(chain) -> str:
     return ",".join(map(str, chain))
 
 
-def _tiling_lines(solution: TilingSolution, universe: int, candidates: int) -> List[str]:
-    lines = [
-        f"tiling k={solution.root.s} r={solution.root.j} m={solution.height}",
-        f"universe {universe}",
-        f"candidates {candidates}",
-        f"copies {len(solution.copies)}",
-    ]
+def _tiling_lines(solution: TilingSolution) -> List[str]:
+    lines = [f"copies {len(solution.copies)}"]
     for idx, c in enumerate(solution.copies):
         chosen = "; ".join(
             f"level {solution.root.s + s}: " + " ".join(map(str, subset))
@@ -264,55 +259,40 @@ def _tiling_lines(solution: TilingSolution, universe: int, candidates: int) -> L
 
 
 def _cmd_tiling(args, out: _Output) -> int:
-    inputs = {"k": args.k, "r": args.r, "m": args.m}
+    k, r, m = args.k, args.r, args.m
+    inputs = {"k": k, "r": r, "m": m}
+    # solve first: the guards live behind these calls
     if args.count_all:
-        # solve first: the guards live behind these calls
-        covers = tiling.count_all_tilings(args.k, args.r, args.m, args.unsafe_limits)
-        universe = f_falling(args.k + args.m, args.m)
-        candidates = tiling.copy_count(args.k, args.m)
-        result = {"universe": universe, "candidates": candidates, "covers": covers}
-        record = _record("tiling", {**inputs, "count_all": True}, result)
+        covers = tiling.count_all_tilings(k, r, m, args.unsafe_limits)
+    else:
+        solution = tiling.find_tiling(k, r, m, args.unsafe_limits)
+    universe = f_falling(k + m, m)
+    candidates = tiling.copy_count(k, m)
+    result = {"universe": universe, "candidates": candidates}
+    if args.count_all:
+        record = _record("tiling", {**inputs, "count_all": True}, {**result, "covers": covers})
         out.emit(record, [f"covers {covers}"], [[covers]])
         return 0
-    solution = tiling.find_tiling(args.k, args.r, args.m, args.unsafe_limits)
-    universe = f_falling(args.k + args.m, args.m)
-    candidates = tiling.copy_count(args.k, args.m)
+    header = [f"tiling k={k} r={r} m={m}", f"universe {universe}", f"candidates {candidates}"]
     if solution is None:
-        reason = tiling.no_cover_reason(args.k, args.m) or "exhaustive search"
-        result = {
-            "universe": universe,
-            "candidates": candidates,
-            "copies": None,
-            "verdict": "NO COVER",
-        }
-        record = _record("tiling", inputs, result)
-        out.emit(
-            record,
-            [
-                f"tiling k={args.k} r={args.r} m={args.m}",
-                f"universe {universe}",
-                f"candidates {candidates}",
-                f"NO COVER ({reason})",
-            ],
-            [["NO COVER"]],
-        )
+        record = _record("tiling", inputs, {**result, "copies": None, "verdict": "NO COVER"})
+        reason = tiling.no_cover_reason(k, m)
+        out.emit(record, header + [f"NO COVER ({reason})"], [["NO COVER"]])
         return 0
     valid = tiling.verify_tiling(solution)
     verdict = "VALID" if valid else "INVALID"
-    result = {
-        "universe": universe,
-        "candidates": candidates,
-        "copies": [
+    result.update(
+        copies=[
             {"root": [c.root.j, c.root.s], "chosen": [list(s) for s in c.chosen]}
             for c in solution.copies
         ],
-        "assignment": {
+        assignment={
             _chain_text(chain): idx for chain, idx in sorted(solution.assignment.items())
         },
-        "verdict": verdict,
-    }
+        verdict=verdict,
+    )
     record = _record("tiling", inputs, result)
-    lines = _tiling_lines(solution, universe, candidates) + [f"verdict {verdict}"]
+    lines = header + _tiling_lines(solution) + [f"verdict {verdict}"]
     csv_rows = [
         [idx, _coord_text(c.root)] + [" ".join(map(str, s)) for s in c.chosen]
         for idx, c in enumerate(solution.copies)

@@ -6,12 +6,14 @@ maximal chains form the Cartesian product of the chosen subsets. A tiling is
 an exact cover: a family of copies with one shared root whose chain families
 partition all maximal chains from the root up to level k+m.
 
-For each fixed chain prefix, the copies containing it split the F_{k+m} top
-positions into F_m-sets, so a tiling needs F_m | F_{k+m} (equivalently, since
-gcd(F_a, F_b) = F_{gcd(a, b)}: m <= 2 or m | k). A None result from
-find_tiling means either that this divisibility rule fails, so no search ran,
-or that the exhaustive, deterministic exact-cover search found no cover among
-the candidate copies.
+Fix every coordinate of a chain but the s-th: each copy meets that line of
+F_{k+s} chains in none or in F_s of them, so a tiling needs F_s | F_{k+s} for
+every s = 1..m (equivalently, since gcd(F_a, F_b) = F_gcd(a, b): m <= 2 or
+every s in 3..m divides k). The rule is also sufficient: cutting each level
+k+s into consecutive F_s-blocks, the products of blocks form a tiling with
+fibonomial(k+m, m) copies. find_tiling builds that tiling, and returns None
+exactly when the rule fails; count_all_tilings counts every tiling by the
+exact-cover search.
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ class TilingSolution:
     assignment: Dict[ChainTuple, int] = field(compare=False)
 
 
-def _validate_root(k: int, r: int) -> None:
+def _validate(k: int, r: int, m: int) -> None:
     if k < 1:
         raise ValueError(f"root level must be >= 1, got {k}")
     if not 1 <= r <= fib(k):
         raise ValueError(f"root position {r} out of range 1..{fib(k)} at level {k}")
+    if m < 1:
+        raise ValueError(f"height must be >= 1, got {m}")
 
 
 def copy_count(k: int, m: int) -> int:
@@ -68,9 +72,7 @@ def copy_count(k: int, m: int) -> int:
 
 
 def _check_copy_space(k: int, r: int, m: int, unsafe_limits: bool) -> None:
-    _validate_root(k, r)
-    if m < 1:
-        raise ValueError(f"height must be >= 1, got {m}")
+    _validate(k, r, m)
     # Guard incrementally: the running product crosses the limit long before
     # any individual binomial factor gets expensive to evaluate.
     running = 1
@@ -97,10 +99,11 @@ def enumerate_copies(
 
 
 def no_cover_reason(k: int, m: int) -> Optional[str]:
-    """Why no height-m tiling above a level-k root can exist, or None when
-    the divisibility rule F_m | F_{k+m} allows one."""
-    if fib(k + m) % fib(m):
-        return f"F_{m} does not divide F_{k + m}"
+    """Why no height-m tiling above a level-k root exists, naming the largest
+    s <= m with F_s not dividing F_{k+s}; None when a tiling exists."""
+    for s in range(m, 0, -1):
+        if fib(k + s) % fib(s):
+            return f"F_{s} does not divide F_{k + s}"
     return None
 
 
@@ -130,34 +133,35 @@ def ratio_identity(n: int, k: int) -> bool:
 def find_tiling(
     k: int, r: int, m: int, unsafe_limits: bool = False
 ) -> Optional[TilingSolution]:
-    """Search for a tiling by exact cover.
+    """The block-product tiling: every product of consecutive F_s-blocks
+    (1..F_s), (F_s+1..2F_s), ... of the levels k+s, in lexicographic order.
 
-    None when no_cover_reason(k, m) rules a tiling out, checked after the
-    guards and before any candidate is built, or when the search exhausts.
-    A solution necessarily has universe/family = fibonomial(k+m, m) copies.
+    None exactly when no_cover_reason(k, m) is not None, checked after the
+    guards. The tiling has fibonomial(k+m, m) copies; verify checks it
+    against the first cover of the exact-cover search where that is feasible.
     """
     universe_size = f_falling(k + m, m)
     ensure_within("chain universe size", universe_size, UNIVERSE_LIMIT, unsafe_limits)
-    _check_copy_space(k, r, m, unsafe_limits)
+    _validate(k, r, m)
     if no_cover_reason(k, m):
         return None
-    candidates = _copies(k, r, m)
-    universe = chain_universe(k, m)
-    families = [chains_of_copy(c) for c in candidates]
-    rows = exactcover.solve_first(universe, families)
-    if rows is None:
-        return None
-    copies = tuple(candidates[i] for i in rows)
+    blocks = [
+        [tuple(range(i, i + fib(s))) for i in range(1, fib(k + s) + 1, fib(s))]
+        for s in range(1, m + 1)
+    ]
+    root = VertexCoord(r, k)
+    copies = tuple(CopySpec(root, chosen) for chosen in product(*blocks))
     assignment = {
-        chain: idx for idx, c in enumerate(copies) for chain in sorted(chains_of_copy(c))
+        chain: idx for idx, c in enumerate(copies) for chain in product(*c.chosen)
     }
-    return TilingSolution(VertexCoord(r, k), m, copies, assignment)
+    return TilingSolution(root, m, copies, assignment)
 
 
 def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> int:
-    """Number of distinct tilings; guarded tightly because counts explode.
+    """Number of distinct tilings, by exact-cover search; guarded tightly
+    because counts explode.
 
-    0 without a search when no_cover_reason(k, m) rules a tiling out.
+    0 without a search exactly when no_cover_reason(k, m) is not None.
     """
     universe_size = f_falling(k + m, m)
     ensure_within(

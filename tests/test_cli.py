@@ -133,6 +133,24 @@ def test_tiling_deeper_than_the_recursion_limit(capsys):
     assert lines[-1] == "verdict VALID"
 
 
+def test_tiling_beyond_the_candidate_guard(capsys):
+    code, out, _ = run(capsys, "tiling", "6", "1", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert "copies 4641" in lines
+    assert lines[-1] == "verdict VALID"
+
+
+def test_tiling_no_cover_below_the_top_level(capsys):
+    # F_4 divides F_8, but F_3 does not divide F_7
+    code, out, _ = run(capsys, "tiling", "4", "1", "4", "--unsafe-limits")
+    assert code == 0
+    assert out.splitlines()[-1] == "NO COVER (F_3 does not divide F_7)"
+    code, out, _ = run(capsys, "tiling", "4", "1", "4", "--unsafe-limits", "--count-all")
+    assert code == 0
+    assert out == "covers 0\n"
+
+
 def test_tiling_no_cover(capsys):
     code, out, _ = run(capsys, "tiling", "2", "1", "3")
     assert code == 0

@@ -86,7 +86,10 @@ def test_ratio_identity_examples():
         ratio_identity(3, 4)
 
 
-FEASIBLE = [(1, 1, 1), (1, 1, 2), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 1, 3)]
+FEASIBLE = [
+    (1, 1, 1), (1, 1, 2), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 1, 3),
+    (6, 1, 3),  # 153153 candidate copies, more than enumerate_copies allows
+]
 COVERLESS = [(1, 1, 3), (2, 1, 3), (2, 1, 4), (4, 1, 3), (1, 1, 5)]
 
 
@@ -113,7 +116,7 @@ def test_guards_and_validation_come_before_the_divisibility_rule():
     # each instance below fails the rule, so a pre-check placed too early
     # would return None or 0 instead of raising
     with pytest.raises(GuardExceeded):
-        find_tiling(1, 1, 6)  # 4324320 candidates
+        find_tiling(1, 1, 7)  # 65520-chain universe
     with pytest.raises(GuardExceeded):
         count_all_tilings(1, 1, 5)  # 240-chain universe
     for call in (find_tiling, count_all_tilings):
@@ -126,11 +129,23 @@ def test_guards_and_validation_come_before_the_divisibility_rule():
 
 
 def test_divisibility_rule_closed_form():
-    # gcd(F_a, F_b) = F_gcd(a, b): F_m | F_{k+m} exactly when m <= 2 or m | k
+    # gcd(F_a, F_b) = F_gcd(a, b): F_s | F_{k+s} for every s <= m exactly
+    # when m <= 2 or every s in 3..m divides k
     for k in range(1, 31):
         for m in range(1, 31):
-            assert (no_cover_reason(k, m) is None) == (m <= 2 or k % m == 0)
+            want = m <= 2 or k % math.lcm(*range(3, m + 1)) == 0
+            assert (no_cover_reason(k, m) is None) == want
     assert no_cover_reason(2, 3) == "F_3 does not divide F_5"
+    # F_m | F_{k+m} holds in these; a lower level breaks the rule
+    assert no_cover_reason(4, 4) == "F_3 does not divide F_7"
+    assert no_cover_reason(5, 5) == "F_4 does not divide F_9"
+    assert no_cover_reason(8, 4) == "F_3 does not divide F_11"
+
+
+def test_no_cover_below_the_top_level_answers_without_search():
+    # (4, 4) has 4.1M candidate copies; the rule answers before any is built
+    assert find_tiling(4, 1, 4, unsafe_limits=True) is None
+    assert count_all_tilings(4, 1, 4, unsafe_limits=True) == 0
 
 
 @pytest.mark.parametrize(
@@ -138,9 +153,11 @@ def test_divisibility_rule_closed_form():
 )
 def test_divisibility_rule_matches_direct_search(k, r, m):
     # the exhaustive search, not through find_tiling; (2, 1, 4) takes ~1 s
-    families = [chains_of_copy(c) for c in enumerate_copies(k, r, m)]
-    no_cover = exactcover.solve_first(chain_universe(k, m), families) is None
-    assert no_cover == (no_cover_reason(k, m) is not None)
+    copies = enumerate_copies(k, r, m)
+    rows = exactcover.solve_first(chain_universe(k, m), [chains_of_copy(c) for c in copies])
+    assert (rows is None) == (no_cover_reason(k, m) is not None)
+    if rows is not None:
+        assert find_tiling(k, r, m).copies == tuple(copies[i] for i in rows)
 
 
 def test_find_tiling_deterministic():
