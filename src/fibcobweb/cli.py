@@ -176,6 +176,8 @@ def _cmd_fibonomial(args, out: _Output) -> int:
     if args.n is None:
         raise ValueError("fibonomial needs N (with optional K) or --triangle ROWS")
     if args.k is None:
+        if args.n < 0:
+            raise ValueError(f"indices must be >= 0, got {args.n}")
         row = [fibonomial(args.n, k) for k in range(args.n + 1)]
         record = _record("fibonomial", {"n": args.n}, row)
         out.emit(record, [" ".join(map(str, row))], [row])

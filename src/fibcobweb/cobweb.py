@@ -23,7 +23,7 @@ from itertools import product
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .guards import ensure_within
-from .seqcore import exact_div, fib
+from .seqcore import exact_div, f_factorial, f_falling, fib
 
 ENUMERATION_LIMIT = 10**6
 
@@ -286,10 +286,7 @@ def count_max_chains_from_root(p: CobwebPoset, n: int) -> int:
     """Maximal chains from the root hitting one vertex per level 1..n."""
     if not 1 <= n <= p.max_level:
         raise ValueError(f"target level {n} out of range 1..{p.max_level}")
-    count = 1
-    for s in range(2, n + 1):
-        count *= p.level_sizes[s - 1]
-    return count
+    return f_factorial(n)
 
 
 def count_max_chains_from_vertex(p: CobwebPoset, v: VertexCoord, n: int) -> int:
@@ -298,10 +295,7 @@ def count_max_chains_from_vertex(p: CobwebPoset, v: VertexCoord, n: int) -> int:
     p._check_coord(v)
     if not v.s <= n <= p.max_level:
         raise ValueError(f"target level {n} out of range {v.s}..{p.max_level}")
-    count = 1
-    for s in range(v.s + 1, n + 1):
-        count *= p.level_sizes[s - 1]
-    return count
+    return f_falling(n, n - v.s)
 
 
 def enumerate_max_chains(

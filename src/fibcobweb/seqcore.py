@@ -8,13 +8,11 @@ instead of silently truncating. Indexing is fixed at F_0 = 0, F_1 = F_2 = 1.
 
 from __future__ import annotations
 
+import math
 import threading
 
 _fib_cache = [0, 1]
 _fib_lock = threading.Lock()
-
-_ffact_cache = [1]
-_ffact_lock = threading.Lock()
 
 
 def exact_div(a: int, b: int) -> int:
@@ -39,31 +37,30 @@ def f_factorial(n: int) -> int:
     """Product F_1 F_2 ... F_n, with the empty product 1 at n = 0."""
     if n < 0:
         raise ValueError(f"F-factorial index must be >= 0, got {n}")
-    with _ffact_lock:
-        while len(_ffact_cache) <= n:
-            i = len(_ffact_cache)
-            _ffact_cache.append(_ffact_cache[-1] * fib(i))
-        return _ffact_cache[n]
+    return f_falling(n, n)
 
 
 def f_falling(n: int, k: int) -> int:
-    """Falling product F_n F_{n-1} ... F_{n-k+1} (k factors)."""
+    """Falling product F_n F_{n-1} ... F_{n-k+1} (k factors), balanced: above
+    16 factors its two halves are multiplied together, so the depth is O(log k)."""
     if k < 0:
         raise ValueError(f"length must be >= 0, got {k}")
     if k > n:
         raise ValueError(f"length {k} exceeds upper index {n}")
-    result = 1
-    for i in range(k):
-        result *= fib(n - i)
-    return result
+    if k > 16:
+        return f_falling(n, k // 2) * f_falling(n - k // 2, k - k // 2)
+    fib(n)  # the table only grows, so the slice below needs no lock
+    return math.prod(_fib_cache[n - k + 1 : n + 1])
 
 
 def fibonomial(n: int, k: int) -> int:
-    """Fibonomial coefficient F_n! / (F_k! F_{n-k}!); zero when k > n."""
+    """Fibonomial coefficient F_n! / (F_k! F_{n-k}!); zero when k > n. The
+    quotient is taken at min(k, n - k), the shorter product."""
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     if k > n:
         return 0
+    k = min(k, n - k)
     return exact_div(f_falling(n, k), f_factorial(k))
 
 

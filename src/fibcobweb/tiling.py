@@ -71,8 +71,7 @@ def copy_count(k: int, m: int) -> int:
     return math.prod(math.comb(fib(k + s), fib(s)) for s in range(1, m + 1))
 
 
-def _check_copy_space(k: int, r: int, m: int, unsafe_limits: bool) -> None:
-    _validate(k, r, m)
+def _check_copy_space(k: int, m: int, unsafe_limits: bool) -> None:
     # Guard incrementally: the running product crosses the limit long before
     # any individual binomial factor gets expensive to evaluate.
     running = 1
@@ -94,7 +93,8 @@ def enumerate_copies(
     k: int, r: int, m: int, unsafe_limits: bool = False
 ) -> List[CopySpec]:
     """All copies rooted at (r, k), ordered lexicographically by chosen subsets."""
-    _check_copy_space(k, r, m, unsafe_limits)
+    _validate(k, r, m)
+    _check_copy_space(k, m, unsafe_limits)
     return _copies(k, r, m)
 
 
@@ -140,9 +140,9 @@ def find_tiling(
     guards. The tiling has fibonomial(k+m, m) copies; verify checks it
     against the first cover of the exact-cover search where that is feasible.
     """
+    _validate(k, r, m)
     universe_size = f_falling(k + m, m)
     ensure_within("chain universe size", universe_size, UNIVERSE_LIMIT, unsafe_limits)
-    _validate(k, r, m)
     if no_cover_reason(k, m):
         return None
     blocks = [
@@ -163,11 +163,12 @@ def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> in
 
     0 without a search exactly when no_cover_reason(k, m) is not None.
     """
+    _validate(k, r, m)
     universe_size = f_falling(k + m, m)
     ensure_within(
         "chain universe size (count-all)", universe_size, COUNT_ALL_LIMIT, unsafe_limits
     )
-    _check_copy_space(k, r, m, unsafe_limits)
+    _check_copy_space(k, m, unsafe_limits)
     if no_cover_reason(k, m):
         return 0
     candidates = _copies(k, r, m)

@@ -7,18 +7,10 @@ import json
 import subprocess
 import sys
 import time
-from itertools import combinations
 
-from fibcobweb import cobweb, fence, gvpaths, tiling, verify, weighted
-from fibcobweb.cobweb import IncMatrix, VertexCoord, build
-from fibcobweb.seqcore import (
-    f_factorial,
-    f_falling,
-    fib,
-    fibonomial,
-    fibonomial_rec,
-    q_binomial,
-)
+from fibcobweb import cobweb, tiling, verify
+from fibcobweb.cobweb import VertexCoord, build
+from fibcobweb.seqcore import f_factorial, f_falling, fib, fibonomial
 
 
 class Gate:
@@ -56,16 +48,17 @@ EXPECTED_ZETA_BLOCK_15 = (
 )
 
 
+def _passes(*results):
+    for result in results:
+        assert result.passed, f"{result.name}: {result.detail}"
+
+
 def test_criterion_1_fibonomial_engine():
     gate = Gate(1, 1.0)
-    for n in range(31):
-        for k in range(n + 1):
-            want = fibonomial(n, k)
-            assert fibonomial_rec(n, k, "A") == want
-            assert fibonomial_rec(n, k, "B") == want
-    for n in range(41):
-        for k in range(n + 1):
-            assert fibonomial(n, k) == fibonomial(n, n - k)
+    _passes(
+        verify.check_fibonomial_recurrences(30),
+        verify.check_fibonomial_symmetry(40),
+    )
     gate.done("product formula, both recurrences (n <= 30), symmetry (n <= 40)")
 
 
@@ -82,13 +75,7 @@ def test_criterion_2_zeta_equivalence_and_block():
 
 def test_criterion_3_mobius_inverse():
     gate = Gate(3, 5.0)
-    for n in range(1, 11):
-        p = build(n)
-        z = cobweb.zeta_from_order(p)
-        m = cobweb.mobius(p)
-        ident = IncMatrix.identity(z.dim)
-        assert z * m == ident
-        assert m * z == ident
+    _passes(verify.check_mobius_inverse(10))
     gate.done("zeta * mobius = identity exactly for N = 1..10")
 
 
@@ -157,58 +144,28 @@ def test_criterion_6_ratio_and_rewrite():
 
 def test_criterion_7_konvalina():
     gate = Gate(7, 30.0)
-    from itertools import combinations_with_replacement
-
-    for length in range(9):
-        for ws in combinations_with_replacement((1, 2, 3), length):
-            for k in range(9):
-                assert weighted.c_coeff(ws, k) == weighted.c_coeff_oracle(ws, k)
-                if ws or k == 0:
-                    assert weighted.s_coeff(ws, k) == weighted.s_coeff_oracle(ws, k)
-    import math
-
-    for n in range(1, 11):
-        ones = weighted.preset_weights("ones", n)
-        for k in range(11):
-            assert weighted.c_coeff(ones, k) == math.comb(n, k)
-            assert weighted.s_coeff(ones, k) == math.comb(n + k - 1, k)
-    for n in range(1, 8):
-        arith = weighted.preset_weights("arithmetic", n)
-        for k in range(8):
-            assert weighted.c_coeff(arith, k) == verify.stirling1_unsigned(
-                n + 1, n + 1 - k
-            )
-            assert weighted.s_coeff(arith, k) == verify.stirling2(n + k, n)
-    for q in (2, 3):
-        for n in range(1, 7):
-            geo = weighted.preset_weights("geometric", n, q)
-            for k in range(7):
-                assert weighted.s_coeff(geo, k) == q_binomial(n + k - 1, k).evaluate(q)
+    _passes(
+        verify.check_konvalina_oracles(8, (1, 2, 3), 8),
+        verify.check_konvalina_binomial_preset(10, 10),
+        verify.check_konvalina_stirling_presets(7, 7),
+        verify.check_konvalina_gaussian_preset(6, 6, (2, 3)),
+    )
     gate.done("oracles (len <= 8 over {1,2,3}), binomial/Stirling/Gaussian presets")
 
 
 def test_criterion_8_path_determinants():
     gate = Gate(8, 60.0)
-    for n in range(13):
-        for k in range(n + 2):
-            total = 0
-            for r in combinations(range(n + 1), k):
-                value = gvpaths.n_of_r(r, n)
-                assert value >= 0
-                total += value
-            assert total == fibonomial(n + 1, k)
+    _passes(verify.check_paths_identity(12))
     gate.done("sum of path determinants = fibonomial(n+1, k) for n <= 12")
 
 
 def test_criterion_9_fence():
     gate = Gate(9, 5.0)
-    for m in range(16):
-        assert fence.count_ideals(m) == fence.count_ideals_oracle(m)
-    for m in range(31):
-        assert fence.count_ideals(m) == fib(m + 2)
-    for n in range(2, 41):
-        for k in range(2, n + 1):
-            assert fence.beck_identities(n, k)
+    _passes(
+        verify.check_fence_oracle(15),
+        verify.check_fence_fibonacci(30),
+        verify.check_beck_identities(40),
+    )
     gate.done("transfer vs brute force (m <= 15), Fibonacci form (m <= 30), splits (n <= 40)")
 
 

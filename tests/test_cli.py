@@ -45,6 +45,14 @@ def test_fibonomial_row(capsys):
     assert out == "1 3 6 3 1\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fibonomial_negative_row(capsys, fmt):
+    code, out, err = run(capsys, "fibonomial", "-3", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: indices must be >= 0, got -3\n"
+
+
 def test_fibonomial_missing_args(capsys):
     code, _, err = run(capsys, "fibonomial")
     assert code == 2
@@ -169,6 +177,14 @@ def test_tiling_count_all_guard(capsys):
     code, _, err = run(capsys, "tiling", "3", "1", "3", "--count-all")
     assert code == 3
     assert "guard" in err
+
+
+def test_tiling_guard_message_is_short(capsys):
+    # the guarded universe F_1001 has 209 digits
+    code, _, err = run(capsys, "tiling", "1000", "1", "1")
+    assert code == 3
+    assert "209-digit" in err
+    assert len(err.encode()) < 200
 
 
 def test_tiling_oversized_instance_rejected_quickly(capsys):

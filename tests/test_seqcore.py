@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -61,6 +63,28 @@ def test_f_falling_values():
 @pytest.mark.parametrize("n", range(13))
 def test_f_falling_full_length_is_factorial(n):
     assert f_falling(n, n) == f_factorial(n)
+
+
+def test_f_falling_matches_sequential_product():
+    # lengths well past the plain-product leaf, so every split depth is hit
+    for n in range(101):
+        prod = 1
+        for k in range(n + 1):
+            assert f_falling(n, k) == prod
+            prod *= fib(n - k)
+
+
+def test_no_factorial_table_is_kept():
+    code = (
+        "import tracemalloc; tracemalloc.start();"
+        "from fibcobweb.seqcore import fibonomial; fibonomial(2000, 1000);"
+        "print(tracemalloc.get_traced_memory()[0])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4 * 2**20
 
 
 def test_f_falling_rejects_bad_lengths():

@@ -126,6 +126,17 @@ def test_guards_and_validation_come_before_the_divisibility_rule():
             call(2, 2, 3)  # level 2 has 1 position
         with pytest.raises(ValueError):
             call(0, 1, 3)
+        with pytest.raises(ValueError, match="height must be >= 1, got -5"):
+            call(1, 1, -5)
+
+
+def test_guard_message_shows_long_values_as_digit_counts():
+    with pytest.raises(GuardExceeded) as exc:
+        find_tiling(1000, 1, 1)
+    assert exc.value.value == fib(1001)
+    assert str(exc.value) == (
+        "chain universe size = a 209-digit number exceeds guard limit 10000"
+    )
 
 
 def test_divisibility_rule_closed_form():
