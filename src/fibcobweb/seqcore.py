@@ -4,6 +4,8 @@ coefficients, and Gaussian q-binomial polynomials.
 Everything is computed over Python's arbitrary-precision integers; divisions
 are checked for zero remainder so an indexing-convention slip fails loudly
 instead of silently truncating. Indexing is fixed at F_0 = 0, F_1 = F_2 = 1.
+Fibonomials are products of primitive parts of Fibonacci numbers, so they
+need no division of big products.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import math
 import threading
 
 _fib_cache = [0, 1]
+# _prim_cache[d] is the primitive part P_d of F_d, with F_n the product of
+# P_d over the divisors d of n; index 0 is unused.
+_prim_cache = [0, 1]
 _fib_lock = threading.Lock()
 
 
@@ -40,28 +45,64 @@ def f_factorial(n: int) -> int:
     return f_falling(n, n)
 
 
+def _balanced(xs) -> int:
+    """Product of xs; above 16 factors its two halves are multiplied together,
+    so the depth is O(log len(xs)) and the big multiplications are balanced."""
+    if len(xs) > 16:
+        half = len(xs) // 2
+        return _balanced(xs[:half]) * _balanced(xs[half:])
+    return math.prod(xs)
+
+
 def f_falling(n: int, k: int) -> int:
-    """Falling product F_n F_{n-1} ... F_{n-k+1} (k factors), balanced: above
-    16 factors its two halves are multiplied together, so the depth is O(log k)."""
+    """Falling product F_n F_{n-1} ... F_{n-k+1} (k factors), as a balanced
+    product."""
     if k < 0:
         raise ValueError(f"length must be >= 0, got {k}")
     if k > n:
         raise ValueError(f"length {k} exceeds upper index {n}")
-    if k > 16:
-        return f_falling(n, k // 2) * f_falling(n - k // 2, k - k // 2)
     fib(n)  # the table only grows, so the slice below needs no lock
-    return math.prod(_fib_cache[n - k + 1 : n + 1])
+    return _balanced(_fib_cache[n - k + 1 : n + 1])
+
+
+def _primitive_parts(n: int) -> list:
+    """The primitive-part table, grown to cover P_0 .. P_n.
+
+    New entries start as F_d and are divided by P_e for each proper divisor
+    e of d. The outer loop runs over e in increasing order, so every P_e is
+    final before it divides anything, and entries already in the table are
+    neither recomputed nor divided again. They are appended only once final,
+    so the table can be read without the lock.
+    """
+    if len(_prim_cache) <= n:
+        fib(n)
+        with _fib_lock:
+            old = len(_prim_cache)
+            new = _fib_cache[old : n + 1]  # new[d - old] becomes P_d
+            for e in range(2, n // 2 + 1):
+                p = _prim_cache[e] if e < old else new[e - old]
+                if p == 1:
+                    continue
+                for d in range(max(2 * e, -(-old // e) * e), n + 1, e):
+                    new[d - old] = exact_div(new[d - old], p)
+            _prim_cache.extend(new)
+    return _prim_cache
 
 
 def fibonomial(n: int, k: int) -> int:
-    """Fibonomial coefficient F_n! / (F_k! F_{n-k}!); zero when k > n. The
-    quotient is taken at min(k, n - k), the shorter product."""
+    """Fibonomial coefficient F_n! / (F_k! F_{n-k}!); zero when k > n.
+
+    It is the balanced product of the primitive parts P_d, 2 <= d <= n, with
+    n//d - k//d - (n-k)//d == 1, so no big product is ever divided. That
+    difference is 1 exactly when adding k and n - k in base d carries, which
+    is the test n % d < k % d used below.
+    """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    k = min(k, n - k)
-    return exact_div(f_falling(n, k), f_factorial(k))
+    parts = _primitive_parts(n)
+    return _balanced([parts[d] for d in range(2, n + 1) if n % d < k % d])
 
 
 VARIANTS = ("A", "B")

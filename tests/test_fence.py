@@ -44,6 +44,25 @@ def test_transfer_matches_oracle():
         assert count_ideals(m) == count_ideals_oracle(m)
 
 
+def _count_ideals_linear(m):
+    """One transfer step per cover, on the counts (excluded, included)."""
+    if m == 0:
+        return 1
+    out, inc = 1, 1
+    for i in range(1, m):
+        if i % 2 == 1:
+            out, inc = out + inc, inc
+        else:
+            out, inc = out, out + inc
+    return out + inc
+
+
+def test_matrix_power_matches_linear_transfer():
+    for m in range(2001):
+        assert count_ideals(m) == _count_ideals_linear(m)
+    assert count_ideals(40000) == _count_ideals_linear(40000)
+
+
 def test_ideal_count_is_fibonacci():
     for m in range(31):
         assert count_ideals(m) == fib(m + 2)

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import threading
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibcobweb import seqcore
+from fibcobweb.gvpaths import fibonomial_via_paths
 from fibcobweb.seqcore import (
     IntPolynomial,
     exact_div,
@@ -87,6 +90,63 @@ def test_no_factorial_table_is_kept():
     assert int(proc.stdout) < 4 * 2**20
 
 
+def test_primitive_parts_multiply_to_fibonacci_numbers():
+    parts = seqcore._primitive_parts(500)
+    for n in range(1, 501):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert math.prod(parts[d] for d in divisors) == fib(n)
+
+
+def test_primitive_part_table_grows_from_its_length():
+    # a sieve that recomputes or skips the entries already in the table
+    # gives wrong parts (or an inexact division) on the second or third call
+    code = (
+        "from fibcobweb.seqcore import f_factorial, f_falling, fibonomial\n"
+        "for n, k in ((10, 5), (300, 150), (50, 20)):\n"
+        "    q, r = divmod(f_falling(n, k), f_factorial(k))\n"
+        "    assert r == 0 and fibonomial(n, k) == q, (n, k)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_primitive_part_table_grows_under_threads():
+    # Readers skip the lock and ask for sizes just below the one being
+    # added, so a table that showed entries before they were final would
+    # give them wrong Fibonomials.
+    code = (
+        "import sys, threading\n"
+        "from fibcobweb.seqcore import f_factorial, f_falling, fibonomial\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "sizes = list(range(100, 1300, 50))\n"
+        "want = {n: f_falling(n, n // 3) // f_factorial(n // 3) for n in sizes}\n"
+        "frontier, wrong = [0], []\n"
+        "def grow():\n"
+        "    for n in sizes:\n"
+        "        frontier[0] = n\n"
+        "        fibonomial(n + 49, 1)\n"
+        "    frontier[0] = None\n"
+        "def read():\n"
+        "    while frontier[0] is not None:\n"
+        "        n = frontier[0]\n"
+        "        if n and fibonomial(n, n // 3) != want[n]:\n"
+        "            wrong.append(n)\n"
+        "threads = [threading.Thread(target=f) for f in (grow, read, read, read)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert not wrong, wrong\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_f_falling_rejects_bad_lengths():
     with pytest.raises(ValueError):
         f_falling(3, 4)
@@ -117,7 +177,8 @@ def test_fibonomial_symmetry():
 
 
 def test_fibonomial_division_always_exact():
-    # the constructor asserts exactness; this sweep would raise on any drift
+    # the primitive-part sieve divides with exact_div; this sweep would raise
+    # on any drift
     for n in range(201):
         for k in range(n + 1):
             fibonomial(n, k)
@@ -157,6 +218,16 @@ def test_fibonomial_routes_agree(data):
     want = fibonomial(n, k)
     assert fibonomial_rec(n, k, "A") == want
     assert fibonomial_rec(n, k, "B") == want
+    if k <= n:
+        q, r = divmod(f_falling(n, k), f_factorial(k))
+        assert r == 0 and q == want
+    else:
+        assert want == 0
+    # The path sum grows fast (0.45 s at n = 14), and 40 draws from 0..200
+    # often hold no n <= 11, so the path route draws a size of its own.
+    n = data.draw(st.integers(1, 11))
+    k = data.draw(st.integers(0, n + 2))
+    assert fibonomial_via_paths(n - 1, k) == fibonomial(n, k)
 
 
 def test_fibonomial_rec_rejects_bad_arguments():
@@ -194,8 +265,6 @@ def test_q_binomial_matches_division_oracle():
 
 
 def test_q_binomial_coefficients_nonnegative_and_sum_to_binomial():
-    import math
-
     for n in range(13):
         for k in range(n + 1):
             poly = q_binomial(n, k)
