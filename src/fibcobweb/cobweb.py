@@ -132,6 +132,15 @@ class IncMatrix:
                 raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", frozen)
 
+    @classmethod
+    def _of_rows(cls, rows) -> "IncMatrix":
+        """Matrix from square rows of ints built here: turns them into tuples
+        but skips the per-entry conversion and shape check of the public
+        constructor."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", tuple(map(tuple, rows)))
+        return matrix
+
     def __setattr__(self, name, value):
         raise AttributeError("IncMatrix is immutable")
 
@@ -155,10 +164,8 @@ class IncMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "IncMatrix":
-        return cls(
-            tuple(
-                tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-            )
+        return cls._of_rows(
+            tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
         )
 
     def __mul__(self, other: "IncMatrix") -> "IncMatrix":
@@ -179,7 +186,7 @@ class IncMatrix:
                     if b:
                         acc[j] += a * b
             out.append(acc)
-        return IncMatrix(out)
+        return IncMatrix._of_rows(out)
 
     def first_difference(self, other: "IncMatrix") -> Optional[Tuple[int, int]]:
         """First (row, col) where the matrices disagree, 1-based; None if equal."""
@@ -210,7 +217,7 @@ def _zeta_from_order(max_level: int) -> IncMatrix:
                 1 if (x == y or lx < levels[y - 1]) else 0 for y in range(1, n + 1)
             )
         )
-    return IncMatrix(rows)
+    return IncMatrix._of_rows(rows)
 
 
 @lru_cache(maxsize=1)
@@ -234,7 +241,7 @@ def _zeta_explicit(max_level: int) -> IncMatrix:
                 y = x + r
                 if y <= n:
                     rows[x - 1][y - 1] -= 1
-    return IncMatrix(rows)
+    return IncMatrix._of_rows(rows)
 
 
 @lru_cache(maxsize=1)
@@ -254,7 +261,7 @@ def _mobius(max_level: int) -> IncMatrix:
             row = template.copy()
             row[x - 1] = 1
             rows.append(row)
-    return IncMatrix(rows)
+    return IncMatrix._of_rows(rows)
 
 
 @lru_cache(maxsize=1)

@@ -409,6 +409,17 @@ def check_paths_identity(max_n: int = 12) -> CheckResult:
     return _result("path determinant sum identity", None, f"n <= {max_n}")
 
 
+def check_path_sum_rows(max_n: int = 20) -> CheckResult:
+    """The whole row of path sums that fibonomial_via_paths reads from the
+    characteristic polynomial, against fibonomial(n + 1, k) for k = 0..n+1,
+    at every n <= max_n and at the guard limit."""
+    name = "characteristic polynomial path sums"
+    for n in (*range(max_n + 1), gvpaths.SUM_LIMIT):
+        if gvpaths._path_sums(n) != [fibonomial(n + 1, k) for k in range(n + 2)]:
+            return _result(name, f"n = {n}")
+    return _result(name, None, f"n <= {max_n} and n = {gvpaths.SUM_LIMIT}")
+
+
 def check_determinant_routes(max_n: int = 8, max_k: int = 4) -> CheckResult:
     for n in range(max_n + 1):
         for k in range(min(max_k, n + 1) + 1):
@@ -487,6 +498,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
     ),
     "paths": (
         check_paths_identity,
+        check_path_sum_rows,
         check_determinant_routes,
     ),
     "fence": (

@@ -4,6 +4,7 @@ import pytest
 
 from fibcobweb import verify
 from fibcobweb.cli import main
+from fibcobweb.gvpaths import SUM_LIMIT
 from fibcobweb.seqcore import fibonomial
 from fibcobweb.verify import CheckResult
 
@@ -203,6 +204,17 @@ def test_gv_value(capsys):
     code, out, _ = run(capsys, "gv", "3", "2")
     assert code == 0
     assert out == "6\n"
+
+
+def test_gv_guard(capsys):
+    code, out, err = run(capsys, "gv", str(SUM_LIMIT + 1), "3")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        f"guard exceeded: path sum upper index = {SUM_LIMIT + 1}"
+        f" exceeds guard limit {SUM_LIMIT}",
+        "rerun with --unsafe-limits to override",
+    ]
 
 
 def test_konvalina_weights(capsys):

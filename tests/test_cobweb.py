@@ -248,6 +248,24 @@ def test_incmatrix_basics():
     assert m * IncMatrix(((1, -2), (0, 1))) == IncMatrix.identity(2)
 
 
+def test_internal_builds_match_the_checked_constructor():
+    # The builders skip the public constructor's per-entry conversion; their
+    # rows must still be square tuples of plain ints.
+    def assert_checked(m):
+        assert m == IncMatrix(m.rows)
+        assert type(m.rows) is tuple
+        assert all(type(row) is tuple for row in m.rows)
+        assert all(type(v) is int for row in m.rows for v in row)
+
+    for n in range(1, 13):
+        p = build(n)
+        for builder in (zeta_from_order, zeta_explicit, mobius):
+            assert_checked(builder(p))
+        if n <= 7:
+            assert_checked(zeta_from_order(p) * mobius(p))
+            assert_checked(IncMatrix.identity(p.vertex_count))
+
+
 def test_incmatrix_first_difference():
     a = IncMatrix(((1, 0), (0, 1)))
     b = IncMatrix(((1, 1), (0, 1)))

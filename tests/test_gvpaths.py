@@ -1,10 +1,13 @@
+import random
 from itertools import combinations
 
 import pytest
 
 from fibcobweb.guards import GuardExceeded
 from fibcobweb.gvpaths import (
+    SUM_LIMIT,
     binomial,
+    char_poly,
     det_cofactor,
     det_exact,
     fibonomial_via_paths,
@@ -72,6 +75,28 @@ def test_det_rejects_non_square():
         det_exact([[1, 2], [3, 4], [5, 6]])
 
 
+def test_char_poly_matches_determinants():
+    # det(tI - A) at integer t, from the coefficients and from the matrix.
+    rng = random.Random(20041)
+    for dim in range(7):
+        for _ in range(6):
+            a = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
+            coeffs = char_poly(a)
+            assert len(coeffs) == dim + 1
+            for t in (-3, -1, 0, 1, 2, 5):
+                value = sum(c * t ** (dim - i) for i, c in enumerate(coeffs))
+                shifted = [
+                    [(t if i == j else 0) - a[i][j] for j in range(dim)]
+                    for i in range(dim)
+                ]
+                assert value == det_exact(shifted)
+
+
+def test_char_poly_rejects_non_square():
+    with pytest.raises(ValueError):
+        char_poly([[1, 2], [3, 4], [5, 6]])
+
+
 def test_path_matrices_against_cofactor():
     for n in range(7):
         for k in range(min(4, n + 1) + 1):
@@ -103,7 +128,7 @@ def test_path_counts_nonnegative():
 
 def test_fibonomial_via_paths_guard():
     with pytest.raises(GuardExceeded):
-        fibonomial_via_paths(15, 3)
-    assert fibonomial_via_paths(15, 0, unsafe_limits=True) == 1
+        fibonomial_via_paths(SUM_LIMIT + 1, 3)
+    assert fibonomial_via_paths(SUM_LIMIT + 1, 0, unsafe_limits=True) == 1
     with pytest.raises(ValueError):
         fibonomial_via_paths(-1, 0)

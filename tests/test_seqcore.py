@@ -223,9 +223,10 @@ def test_fibonomial_routes_agree(data):
         assert r == 0 and q == want
     else:
         assert want == 0
-    # The path sum grows fast (0.45 s at n = 14), and 40 draws from 0..200
-    # often hold no n <= 11, so the path route draws a size of its own.
-    n = data.draw(st.integers(1, 11))
+    # The path sum costs O(n^4) operations on growing integers (about
+    # 0.06 s at n = 40, 0.16 s at 50), so the path route draws a size of its
+    # own below the 0..200 range.
+    n = data.draw(st.integers(1, 41))
     k = data.draw(st.integers(0, n + 2))
     assert fibonomial_via_paths(n - 1, k) == fibonomial(n, k)
 
