@@ -5,87 +5,83 @@ algebra (order-indicator and Mobius matrices, chain counts), max-disjoint
 copy tilings built from Fibonacci blocks, weighted-box binomial coefficients,
 binomial path determinants, and fence-poset ideal counts -- all over exact
 integers.
+
+Importing the package costs only this file (PEP 562). A submodule, such as
+`fibcobweb.tiling`, loads on first use by itself; the first public name used
+loads the modules behind all of them and binds every name in the package.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .cobweb import (
-    CobwebPoset,
-    IncMatrix,
-    VertexCoord,
-    build,
-    count_all_chains,
-    count_max_chains_from_root,
-    count_max_chains_from_vertex,
-    enumerate_max_chains,
-    mobius,
-    zeta_explicit,
-    zeta_from_order,
-)
-from .fence import FencePoset, beck_identities, count_ideals, count_ideals_oracle
-from .guards import GuardExceeded
-from .gvpaths import binomial, fibonomial_via_paths, n_of_r
-from .seqcore import (
-    IntPolynomial,
-    f_factorial,
-    f_falling,
-    fib,
-    fibonomial,
-    fibonomial_rec,
-    q_binomial,
-)
-from .tiling import (
-    CopySpec,
-    TilingSolution,
-    chains_of_copy,
-    enumerate_copies,
-    find_tiling,
-    ratio_identity,
-    recurrence_decomposition_check,
-    verify_tiling,
-)
-from .weighted import WeightVector, c_coeff, c_coeff_oracle, preset_weights, s_coeff, s_coeff_oracle
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "cobweb": (
+        "CobwebPoset",
+        "IncMatrix",
+        "VertexCoord",
+        "build",
+        "count_all_chains",
+        "count_max_chains_from_root",
+        "count_max_chains_from_vertex",
+        "enumerate_max_chains",
+        "mobius",
+        "zeta_explicit",
+        "zeta_from_order",
+    ),
+    "fence": ("FencePoset", "beck_identities", "count_ideals", "count_ideals_oracle"),
+    "guards": ("GuardExceeded",),
+    "gvpaths": ("binomial", "fibonomial_via_paths", "n_of_r"),
+    "seqcore": (
+        "IntPolynomial",
+        "f_factorial",
+        "f_falling",
+        "fib",
+        "fibonomial",
+        "fibonomial_rec",
+        "q_binomial",
+    ),
+    "tiling": (
+        "CopySpec",
+        "TilingSolution",
+        "chains_of_copy",
+        "enumerate_copies",
+        "find_tiling",
+        "ratio_identity",
+        "recurrence_decomposition_check",
+        "verify_tiling",
+    ),
+    "weighted": (
+        "WeightVector",
+        "c_coeff",
+        "c_coeff_oracle",
+        "preset_weights",
+        "s_coeff",
+        "s_coeff_oracle",
+    ),
+}
+_NAMES = frozenset(name for names in _EXPORTS.values() for name in names)
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "exactcover", "verify"})
 
-__all__ = [
-    "__version__",
-    "CobwebPoset",
-    "CopySpec",
-    "FencePoset",
-    "GuardExceeded",
-    "IncMatrix",
-    "IntPolynomial",
-    "TilingSolution",
-    "VertexCoord",
-    "WeightVector",
-    "beck_identities",
-    "binomial",
-    "build",
-    "c_coeff",
-    "c_coeff_oracle",
-    "chains_of_copy",
-    "count_all_chains",
-    "count_ideals",
-    "count_ideals_oracle",
-    "count_max_chains_from_root",
-    "count_max_chains_from_vertex",
-    "enumerate_copies",
-    "enumerate_max_chains",
-    "f_factorial",
-    "f_falling",
-    "fib",
-    "fibonomial",
-    "fibonomial_rec",
-    "fibonomial_via_paths",
-    "find_tiling",
-    "mobius",
-    "n_of_r",
-    "preset_weights",
-    "q_binomial",
-    "ratio_identity",
-    "recurrence_decomposition_check",
-    "s_coeff",
-    "s_coeff_oracle",
-    "verify_tiling",
-    "zeta_explicit",
-    "zeta_from_order",
-]
+__all__ = ["__version__", *sorted(_NAMES)]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        # loads that submodule alone; the import binds it in the package
+        return _import_module(f".{name}", __name__)
+    if name not in _NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for module, names in _EXPORTS.items():
+        namespace = vars(_import_module(f".{module}", __name__))
+        globals().update({n: namespace[n] for n in names})
+    # Every public name is bound now. CPython does not specialise attribute
+    # reads on a module that defines __getattr__ (each `fibcobweb.mobius`
+    # would cost about twice as much), so the hook goes.
+    globals().pop("__getattr__", None)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

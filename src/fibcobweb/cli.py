@@ -10,21 +10,18 @@ across runs.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-import time
-from typing import List, Optional, Sequence
 
-from . import __version__, cobweb, fence, gvpaths, tiling, verify, weighted
+from . import __version__
 from .guards import GuardExceeded, ensure_within
-from .seqcore import f_falling, fibonomial
-from .tiling import TilingSolution
 
+# Each command imports the modules it runs, so an invocation loads only those.
 
 TEXT_MATRIX_LIMIT = 12
 HASSE_LIMIT = 10
+# verify.SUITE_NAMES, spelled out so that building the parser does not load
+# every layer; tests/test_verify.py pins the two equal.
+VERIFY_SUITES = ("arith", "poset", "tiling", "paths", "fence", "all")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run self-verification suites")
     p.add_argument(
-        "--suite", choices=verify.SUITE_NAMES, default="all", help="suite to run"
+        "--suite", choices=VERIFY_SUITES, default="all", help="suite to run"
     )
     return parser
 
@@ -113,15 +110,6 @@ def _stringify(value):
     if isinstance(value, dict):
         return {str(k): _stringify(v) for k, v in value.items()}
     return value
-
-
-def _record(command: str, inputs: dict, result) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "version": __version__,
-    }
 
 
 class _Output:
@@ -141,37 +129,62 @@ class _Output:
         else:
             sys.stdout.write(text)
 
-    def emit(self, record, text_lines, csv_rows=None, dot_text=None) -> None:
+    def emit(self, command: str, inputs: dict, result, text, rows=None, dot=None) -> None:
+        """Write the --format representation. result (the JSON record's
+        result), text (lines), rows (CSV) and dot are zero-argument
+        callables; only the one for the chosen format is called."""
         if self.format == "text":
-            self.write("\n".join(text_lines) + "\n")
+            self.write("\n".join(text()) + "\n")
         elif self.format == "json":
+            import json
+
+            record = {
+                "command": command,
+                "inputs": inputs,
+                "result": result(),
+                "version": __version__,
+            }
             self.write(json.dumps(_stringify(record), sort_keys=True) + "\n")
         elif self.format == "csv":
-            if csv_rows is None:
+            if rows is None:
                 raise ValueError("csv output is not available for this command")
+            import csv
+            import io
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            writer.writerows(csv_rows)
+            writer.writerows(rows())
             self.write(buf.getvalue())
         else:
-            if dot_text is None:
+            if dot is None:
                 raise ValueError("dot output is valid only for graph-producing commands")
-            self.write(dot_text)
+            self.write(dot())
+
+    def emit_value(self, command: str, inputs: dict, value) -> None:
+        """One number: the text line, the CSV row and the JSON result."""
+        self.emit(command, inputs, lambda: value, lambda: [str(value)], lambda: [[value]])
 
 
-def _coord_text(v: cobweb.VertexCoord) -> str:
+def _coord_text(v) -> str:
     return f"{v.j},{v.s}"
 
 
 def _cmd_fibonomial(args, out: _Output) -> int:
+    from .seqcore import fibonomial
+
     if args.triangle is not None:
         if args.triangle < 0:
             raise ValueError("--triangle rows must be >= 0")
         rows = [
             [fibonomial(n, k) for k in range(n + 1)] for n in range(args.triangle + 1)
         ]
-        record = _record("fibonomial", {"triangle": args.triangle}, rows)
-        out.emit(record, [" ".join(map(str, row)) for row in rows], rows)
+        out.emit(
+            "fibonomial",
+            {"triangle": args.triangle},
+            lambda: rows,
+            lambda: [" ".join(map(str, row)) for row in rows],
+            lambda: rows,
+        )
         return 0
     if args.n is None:
         raise ValueError("fibonomial needs N (with optional K) or --triangle ROWS")
@@ -179,12 +192,15 @@ def _cmd_fibonomial(args, out: _Output) -> int:
         if args.n < 0:
             raise ValueError(f"indices must be >= 0, got {args.n}")
         row = [fibonomial(args.n, k) for k in range(args.n + 1)]
-        record = _record("fibonomial", {"n": args.n}, row)
-        out.emit(record, [" ".join(map(str, row))], [row])
+        out.emit(
+            "fibonomial",
+            {"n": args.n},
+            lambda: row,
+            lambda: [" ".join(map(str, row))],
+            lambda: [row],
+        )
         return 0
-    value = fibonomial(args.n, args.k)
-    record = _record("fibonomial", {"n": args.n, "k": args.k}, value)
-    out.emit(record, [str(value)], [[value]])
+    out.emit_value("fibonomial", {"n": args.n, "k": args.k}, fibonomial(args.n, args.k))
     return 0
 
 
@@ -193,53 +209,63 @@ def _matrix_guard(n: int, unsafe: bool) -> None:
     ensure_within("matrix dump level", n, TEXT_MATRIX_LIMIT, unsafe)
 
 
+def _emit_matrix(out: _Output, command: str, inputs: dict, matrix) -> None:
+    out.emit(command, inputs, lambda: matrix.rows, lambda: [matrix.dump()], lambda: matrix.rows)
+
+
 def _cmd_zeta(args, out: _Output) -> int:
+    from . import cobweb
+
     _matrix_guard(args.n, args.unsafe_limits)
     poset = cobweb.build(args.n)
     if args.check:
-        diff = cobweb.zeta_from_order(poset).first_difference(cobweb.zeta_explicit(poset))
+        zeta = cobweb.zeta_from_order(poset, args.unsafe_limits)
+        diff = zeta.first_difference(cobweb.zeta_explicit(poset, args.unsafe_limits))
         if diff is not None:
             print(f"zeta construction mismatch at (row, col) = {diff}", file=sys.stderr)
             return 1
-        record = _record(
-            "zeta", {"n": args.n, "check": True}, {"equal": True, "dim": poset.vertex_count}
+        dim = poset.vertex_count
+        out.emit(
+            "zeta",
+            {"n": args.n, "check": True},
+            lambda: {"equal": True, "dim": dim},
+            lambda: [f"zeta check N={args.n}: OK"],
+            lambda: [["OK", dim]],
         )
-        out.emit(record, [f"zeta check N={args.n}: OK"], [["OK", poset.vertex_count]])
         return 0
     builder = cobweb.zeta_explicit if args.explicit else cobweb.zeta_from_order
-    matrix = builder(poset)
     mode = "explicit" if args.explicit else "order"
-    record = _record(
-        "zeta", {"n": args.n, "build": mode}, [list(row) for row in matrix.rows]
-    )
-    out.emit(record, matrix.dump().split("\n"), [list(row) for row in matrix.rows])
+    matrix = builder(poset, args.unsafe_limits)
+    _emit_matrix(out, "zeta", {"n": args.n, "build": mode}, matrix)
     return 0
 
 
 def _cmd_mobius(args, out: _Output) -> int:
+    from . import cobweb
+
     _matrix_guard(args.n, args.unsafe_limits)
-    matrix = cobweb.mobius(cobweb.build(args.n))
-    record = _record("mobius", {"n": args.n}, [list(row) for row in matrix.rows])
-    out.emit(record, matrix.dump().split("\n"), [list(row) for row in matrix.rows])
+    matrix = cobweb.mobius(cobweb.build(args.n), args.unsafe_limits)
+    _emit_matrix(out, "mobius", {"n": args.n}, matrix)
     return 0
 
 
 def _cmd_chains(args, out: _Output) -> int:
+    from . import cobweb
+
     poset = cobweb.build(max(args.n, args.k, 1))
     start = cobweb.VertexCoord(1, args.k)
     if args.enumerate:
         chains = cobweb.enumerate_max_chains(poset, start, args.n, args.unsafe_limits)
-        listed = [[[v.j, v.s] for v in chain] for chain in chains]
-        record = _record("chains", {"k": args.k, "n": args.n, "enumerate": True}, listed)
         out.emit(
-            record,
-            [" ".join(_coord_text(v) for v in chain) for chain in chains],
-            [[_coord_text(v) for v in chain] for chain in chains],
+            "chains",
+            {"k": args.k, "n": args.n, "enumerate": True},
+            lambda: chains,
+            lambda: [" ".join(_coord_text(v) for v in chain) for chain in chains],
+            lambda: [[_coord_text(v) for v in chain] for chain in chains],
         )
         return 0
     value = cobweb.count_max_chains_from_vertex(poset, start, args.n)
-    record = _record("chains", {"k": args.k, "n": args.n}, value)
-    out.emit(record, [str(value)], [[value]])
+    out.emit_value("chains", {"k": args.k, "n": args.n}, value)
     return 0
 
 
@@ -247,7 +273,7 @@ def _chain_text(chain) -> str:
     return ",".join(map(str, chain))
 
 
-def _tiling_lines(solution: TilingSolution) -> List[str]:
+def _tiling_lines(solution) -> list[str]:
     lines = [f"copies {len(solution.copies)}"]
     for idx, c in enumerate(solution.copies):
         chosen = "; ".join(
@@ -261,6 +287,9 @@ def _tiling_lines(solution: TilingSolution) -> List[str]:
 
 
 def _cmd_tiling(args, out: _Output) -> int:
+    from . import tiling
+    from .seqcore import f_falling
+
     k, r, m = args.k, args.r, args.m
     inputs = {"k": k, "r": r, "m": m}
     # solve first: the guards live behind these calls
@@ -272,45 +301,64 @@ def _cmd_tiling(args, out: _Output) -> int:
     candidates = tiling.copy_count(k, m)
     result = {"universe": universe, "candidates": candidates}
     if args.count_all:
-        record = _record("tiling", {**inputs, "count_all": True}, {**result, "covers": covers})
-        out.emit(record, [f"covers {covers}"], [[covers]])
+        out.emit(
+            "tiling",
+            {**inputs, "count_all": True},
+            lambda: {**result, "covers": covers},
+            lambda: [f"covers {covers}"],
+            lambda: [[covers]],
+        )
         return 0
     header = [f"tiling k={k} r={r} m={m}", f"universe {universe}", f"candidates {candidates}"]
     if solution is None:
-        record = _record("tiling", inputs, {**result, "copies": None, "verdict": "NO COVER"})
-        reason = tiling.no_cover_reason(k, m)
-        out.emit(record, header + [f"NO COVER ({reason})"], [["NO COVER"]])
+        out.emit(
+            "tiling",
+            inputs,
+            lambda: {**result, "copies": None, "verdict": "NO COVER"},
+            lambda: header + [f"NO COVER ({tiling.no_cover_reason(k, m)})"],
+            lambda: [["NO COVER"]],
+        )
         return 0
     valid = tiling.verify_tiling(solution)
     verdict = "VALID" if valid else "INVALID"
-    result.update(
-        copies=[
-            {"root": [c.root.j, c.root.s], "chosen": [list(s) for s in c.chosen]}
-            for c in solution.copies
+
+    def record():
+        return {
+            **result,
+            "copies": [
+                {"root": [c.root.j, c.root.s], "chosen": [list(s) for s in c.chosen]}
+                for c in solution.copies
+            ],
+            "assignment": {
+                _chain_text(chain): idx for chain, idx in sorted(solution.assignment.items())
+            },
+            "verdict": verdict,
+        }
+
+    out.emit(
+        "tiling",
+        inputs,
+        record,
+        lambda: header + _tiling_lines(solution) + [f"verdict {verdict}"],
+        lambda: [
+            [idx, _coord_text(c.root)] + [" ".join(map(str, s)) for s in c.chosen]
+            for idx, c in enumerate(solution.copies)
         ],
-        assignment={
-            _chain_text(chain): idx for chain, idx in sorted(solution.assignment.items())
-        },
-        verdict=verdict,
     )
-    record = _record("tiling", inputs, result)
-    lines = header + _tiling_lines(solution) + [f"verdict {verdict}"]
-    csv_rows = [
-        [idx, _coord_text(c.root)] + [" ".join(map(str, s)) for s in c.chosen]
-        for idx, c in enumerate(solution.copies)
-    ]
-    out.emit(record, lines, csv_rows)
     return 0 if valid else 1
 
 
 def _cmd_gv(args, out: _Output) -> int:
-    value = gvpaths.fibonomial_via_paths(args.n, args.k, args.unsafe_limits)
-    record = _record("gv", {"n": args.n, "k": args.k}, value)
-    out.emit(record, [str(value)], [[value]])
+    from .gvpaths import fibonomial_via_paths
+
+    value = fibonomial_via_paths(args.n, args.k, args.unsafe_limits)
+    out.emit_value("gv", {"n": args.n, "k": args.k}, value)
     return 0
 
 
-def _parse_weights(args) -> weighted.WeightVector:
+def _parse_weights(args):
+    from . import weighted
+
     if args.weights is not None:
         try:
             entries = [int(w) for w in args.weights.split(",") if w != ""]
@@ -328,23 +376,24 @@ def _parse_weights(args) -> weighted.WeightVector:
 
 
 def _cmd_konvalina(args, out: _Output) -> int:
+    from . import weighted
+
     wv = _parse_weights(args)
     fn = weighted.c_coeff if args.kind == "first" else weighted.s_coeff
     value = fn(wv, args.k)
     inputs = {"kind": args.kind, "weights": list(wv.weights), "k": args.k}
-    record = _record("konvalina", inputs, value)
-    out.emit(record, [str(value)], [[value]])
+    out.emit_value("konvalina", inputs, value)
     return 0
 
 
 def _cmd_fence(args, out: _Output) -> int:
-    value = fence.count_ideals(args.m)
-    record = _record("fence", {"m": args.m}, value)
-    out.emit(record, [str(value)], [[value]])
+    from .fence import count_ideals
+
+    out.emit_value("fence", {"m": args.m}, count_ideals(args.m))
     return 0
 
 
-def _hasse_dot(poset: cobweb.CobwebPoset) -> str:
+def _hasse_dot(poset) -> str:
     lines = ["digraph cobweb {", "  rankdir=BT;", '  node [shape=circle];']
     for x in range(1, poset.vertex_count + 1):
         v = poset.coord_of(x)
@@ -359,45 +408,50 @@ def _hasse_dot(poset: cobweb.CobwebPoset) -> str:
 
 
 def _cmd_hasse(args, out: _Output) -> int:
+    from . import cobweb
+
     ensure_within("hasse level", args.n, HASSE_LIMIT, args.unsafe_limits)
     poset = cobweb.build(args.n)
+    vertices = range(1, poset.vertex_count + 1)
     edges = list(poset.hasse_edges())
-    coords = [list(poset.coord_of(x)) for x in range(1, poset.vertex_count + 1)]
-    record = _record(
+    out.emit(
         "hasse",
         {"n": args.n},
-        {"vertices": coords, "edges": [list(e) for e in edges]},
+        lambda: {"vertices": [poset.coord_of(x) for x in vertices], "edges": edges},
+        lambda: [f"vertices {poset.vertex_count}"]
+        + [f"{x} {_coord_text(poset.coord_of(x))}" for x in vertices]
+        + [f"{x} -> {y}" for x, y in edges],
+        lambda: edges,
+        lambda: _hasse_dot(poset),
     )
-    text = [f"vertices {poset.vertex_count}"]
-    text += [
-        f"{x} {_coord_text(poset.coord_of(x))}" for x in range(1, poset.vertex_count + 1)
-    ]
-    text += [f"{x} -> {y}" for x, y in edges]
-    out.emit(record, text, [[x, y] for x, y in edges], _hasse_dot(poset))
     return 0
 
 
 def _cmd_verify(args, out: _Output) -> int:
+    import time
+
+    from . import verify
+
     started = time.perf_counter()
     results = verify.run_suite(args.suite)
     elapsed = time.perf_counter() - started
-    lines = [
-        f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else "")
-        for r in results
-    ]
     all_passed = all(r.passed for r in results)
-    lines.append(f"suite {args.suite}: {'PASS' if all_passed else 'FAIL'}")
-    record = _record(
+    out.emit(
         "verify",
         {"suite": args.suite},
-        {
+        lambda: {
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
             "passed": all_passed,
         },
+        lambda: [
+            f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else "")
+            for r in results
+        ]
+        + [f"suite {args.suite}: {'PASS' if all_passed else 'FAIL'}"],
+        lambda: [[r.name, r.passed, r.detail] for r in results],
     )
-    out.emit(record, lines, [[r.name, r.passed, r.detail] for r in results])
     print(f"suite {args.suite} wall time: {elapsed:.2f}s", file=sys.stderr)
     return 0 if all_passed else 1
 
@@ -418,7 +472,7 @@ _COMMANDS = {
 _GRAPH_COMMANDS = {"hasse"}
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # results are exact decimals of any length
     args = _build_parser().parse_args(argv)

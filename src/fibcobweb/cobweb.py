@@ -26,6 +26,9 @@ from .guards import ensure_within
 from .seqcore import exact_div, f_factorial, f_falling, fib
 
 ENUMERATION_LIMIT = 10**6
+# Dense matrices hold dim^2 entries. The dimension at N = 15 is 1596 (about
+# 20 MB a matrix); N = 16 (2583) is refused, N = 20 (17710) would need GBs.
+DENSE_LIMIT = 2000
 
 
 class VertexCoord(NamedTuple):
@@ -274,18 +277,31 @@ def _chain_prefix(max_level: int) -> Tuple[int, ...]:
     return tuple(prefix)
 
 
-def zeta_from_order(p: CobwebPoset) -> IncMatrix:
+def _dense_guard(p: CobwebPoset, unsafe_limits: bool) -> None:
+    """GuardExceeded unless unsafe_limits. The builders call this only when
+    p.vertex_count > DENSE_LIMIT, testing that inline, because warm callers
+    ask for the cached matrix once per entry they read."""
+    ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
+
+
+def zeta_from_order(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     """Order-indicator matrix built from the comparability predicate."""
+    if p.vertex_count > DENSE_LIMIT:
+        _dense_guard(p, unsafe_limits)
     return _zeta_from_order(p.max_level)
 
 
-def zeta_explicit(p: CobwebPoset) -> IncMatrix:
+def zeta_explicit(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     """Order-indicator matrix built from the Kronecker-delta expansion."""
+    if p.vertex_count > DENSE_LIMIT:
+        _dense_guard(p, unsafe_limits)
     return _zeta_explicit(p.max_level)
 
 
-def mobius(p: CobwebPoset) -> IncMatrix:
+def mobius(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     """Mobius matrix, the inverse of the order-indicator matrix."""
+    if p.vertex_count > DENSE_LIMIT:
+        _dense_guard(p, unsafe_limits)
     return _mobius(p.max_level)
 
 

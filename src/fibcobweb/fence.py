@@ -9,7 +9,6 @@ to a power by repeated squaring; brute force over all subsets is the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .guards import ensure_within
@@ -18,15 +17,27 @@ from .seqcore import fib
 ORACLE_LIMIT = 20
 
 
-@dataclass(frozen=True)
 class FencePoset:
-    """Zigzag poset x_1 < x_2 > x_3 < ... on elements 1..size."""
+    """Immutable zigzag poset x_1 < x_2 > x_3 < ... on elements 1..size."""
 
-    size: int
+    __slots__ = ("size",)
 
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"size must be >= 0, got {self.size}")
+    def __init__(self, size: int):
+        if size < 0:
+            raise ValueError(f"size must be >= 0, got {size}")
+        object.__setattr__(self, "size", size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FencePoset is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FencePoset) and other.size == self.size
+
+    def __hash__(self) -> int:
+        return hash((self.size,))
+
+    def __repr__(self) -> str:
+        return f"FencePoset(size={self.size})"
 
     @property
     def covers(self) -> Tuple[Tuple[int, int], ...]:

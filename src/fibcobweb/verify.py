@@ -512,12 +512,20 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
+def _run_check(check: Check) -> CheckResult:
+    """check(), or a failed result naming what it raised: a route that
+    raises fails its own check and the remaining checks still run."""
+    try:
+        return check()
+    except Exception as exc:
+        return CheckResult(check.__name__, False, f"raised {type(exc).__name__}: {exc}")
+
+
 def run_suite(name: str) -> List[CheckResult]:
     if name == "all":
-        results: List[CheckResult] = []
-        for suite in SUITES.values():
-            results.extend(check() for check in suite)
-        return results
-    if name not in SUITES:
+        checks = [check for suite in SUITES.values() for check in suite]
+    elif name in SUITES:
+        checks = list(SUITES[name])
+    else:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return [check() for check in SUITES[name]]
+    return [_run_check(check) for check in checks]

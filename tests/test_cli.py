@@ -372,6 +372,22 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "(3, 5)" in out
 
 
+def test_verify_reports_a_raising_check(monkeypatch, capsys):
+    def check_broken_route():
+        raise IndexError("list index out of range")
+
+    fence = verify.SUITES["fence"]
+    monkeypatch.setitem(verify.SUITES, "fence", (check_broken_route, *fence))
+    code, out, err = run(capsys, "verify", "--suite", "fence")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL check_broken_route (raised IndexError: list index out of range)"
+    assert len(lines) == len(fence) + 2
+    assert all(line.startswith("PASS") for line in lines[1:-1])
+    assert lines[-1] == "suite fence: FAIL"
+    assert "Traceback" not in err
+
+
 def test_verify_json_round_trip(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "fence", "--format", "json")
     assert code == 0

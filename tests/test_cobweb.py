@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
+from fibcobweb import cobweb
 from fibcobweb.cobweb import (
     IncMatrix,
     VertexCoord,
@@ -192,6 +196,38 @@ def test_enumerate_guard():
     p = build(12)
     with pytest.raises(GuardExceeded):
         enumerate_max_chains(p, VertexCoord(1, 1), 12)
+
+
+def test_dense_builds_guarded(monkeypatch):
+    p = build(16)  # dimension 2583
+    for builder in (zeta_from_order, zeta_explicit, mobius):
+        with pytest.raises(GuardExceeded, match="matrix dimension = 2583"):
+            builder(p)
+        assert builder(build(12)).dim == 376
+    monkeypatch.setattr(cobweb, "DENSE_LIMIT", 10)
+    with pytest.raises(GuardExceeded):
+        mobius(build(5))  # dimension 12
+    assert mobius(build(5), unsafe_limits=True).dim == 12
+
+
+def test_dense_guard_fires_before_memory_runs_out():
+    # N = 20 has dimension 17710: about 2.5 GB of entries, far over 1 GB
+    code = (
+        "import resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from fibcobweb import GuardExceeded, build, mobius\n"
+        "try:\n"
+        "    mobius(build(20))\n"
+        "except GuardExceeded as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "matrix dimension = 17710 exceeds guard limit 2000\n"
 
 
 def _chains_brute(p, x, y):

@@ -20,6 +20,17 @@ def test_fence_covers():
         FencePoset(-1)
 
 
+def test_fence_poset_is_an_immutable_value():
+    assert FencePoset(3) == FencePoset(3)
+    assert FencePoset(3) != FencePoset(4)
+    assert FencePoset(3) != 3
+    assert hash(FencePoset(3)) == hash(FencePoset(3))
+    assert len({FencePoset(3), FencePoset(3), FencePoset(4)}) == 2
+    assert repr(FencePoset(3)) == "FencePoset(size=3)"
+    with pytest.raises(AttributeError):
+        FencePoset(3).size = 4
+
+
 def test_count_ideals_examples():
     assert count_ideals(0) == 1
     assert count_ideals(3) == 5

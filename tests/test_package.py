@@ -1,0 +1,73 @@
+"""The package surface and what a CLI invocation loads."""
+
+import subprocess
+import sys
+
+import pytest
+
+import fibcobweb
+
+LAYERS = ("cobweb", "tiling", "exactcover", "verify", "fence", "gvpaths", "weighted")
+
+
+def _fresh(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _loaded_by(*argv) -> set:
+    """Modules that `cobweb ARGV` adds to a fresh interpreter's sys.modules."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from fibcobweb.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    return set(_fresh(code).splitlines()[-1].split())
+
+
+def test_a_command_loads_only_what_it_runs():
+    loaded = _loaded_by("fibonomial", "5", "2")
+    assert "fibcobweb.seqcore" in loaded
+    unwanted = {f"fibcobweb.{m}" for m in LAYERS} | {"dataclasses", "json", "csv"}
+    assert not loaded & unwanted
+    loaded = _loaded_by("mobius", "5")
+    assert "fibcobweb.cobweb" in loaded
+    assert not loaded & {"fibcobweb.tiling", "fibcobweb.verify"}
+    loaded = _loaded_by("fence", "10")
+    assert "fibcobweb.fence" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_public_names_are_their_modules_objects():
+    for name in fibcobweb.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(fibcobweb, name)
+        assert obj.__module__.startswith("fibcobweb."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    namespace = {}
+    exec("from fibcobweb import *", namespace)
+    assert set(fibcobweb.__all__) <= set(namespace)
+    assert set(fibcobweb.__all__) <= set(dir(fibcobweb))
+    with pytest.raises(AttributeError):
+        fibcobweb.no_such_name
+
+
+def test_import_loads_no_submodule_until_used():
+    # Once a public name is used the hook is gone: CPython does not
+    # specialise attribute reads on a module that defines __getattr__.
+    code = (
+        "import sys\n"
+        "import fibcobweb\n"
+        "print(sorted(m for m in sys.modules if m.startswith('fibcobweb.')))\n"
+        "print(hasattr(fibcobweb, 'no_such_name'))\n"
+        "print(fibcobweb.tiling.count_all_tilings(1, 1, 1))\n"
+        "print('fibcobweb.cobweb' in sys.modules, '__getattr__' in vars(fibcobweb))\n"
+        "print(fibcobweb.fib(10), '__getattr__' in vars(fibcobweb))\n"
+    )
+    assert _fresh(code) == "[]\nFalse\n1\nTrue True\n55 False\n"

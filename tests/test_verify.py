@@ -1,10 +1,11 @@
 import pytest
 
-from fibcobweb import verify
+from fibcobweb import cli, verify
 
 
 def test_suite_names():
     assert set(verify.SUITE_NAMES) == {"arith", "poset", "tiling", "paths", "fence", "all"}
+    assert cli.VERIFY_SUITES == verify.SUITE_NAMES  # the --suite choices
 
 
 def test_unknown_suite_rejected():
