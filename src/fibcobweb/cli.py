@@ -452,6 +452,8 @@ def _cmd_verify(args, out: _Output) -> int:
         + [f"suite {args.suite}: {'PASS' if all_passed else 'FAIL'}"],
         lambda: [[r.name, r.passed, r.detail] for r in results],
     )
+    for r in results:
+        print(f"check {r.name} wall time: {r.seconds:.3f}s", file=sys.stderr)
     print(f"suite {args.suite} wall time: {elapsed:.2f}s", file=sys.stderr)
     return 0 if all_passed else 1
 

@@ -12,8 +12,8 @@ every s = 1..m (equivalently, since gcd(F_a, F_b) = F_gcd(a, b): m <= 2 or
 every s in 3..m divides k). The rule is also sufficient: cutting each level
 k+s into consecutive F_s-blocks, the products of blocks form a tiling with
 fibonomial(k+m, m) copies. find_tiling builds that tiling, and returns None
-exactly when the rule fails; count_all_tilings counts every tiling by the
-exact-cover search.
+exactly when the rule fails; count_all_tilings counts every tiling as a
+product over the fibres, the chains that share their first two coordinates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple
 
-from . import exactcover
 from .cobweb import VertexCoord
 from .guards import ensure_within
 from .seqcore import exact_div, f_factorial, f_falling, fib, fibonomial
@@ -32,7 +31,6 @@ ChainTuple = Tuple[int, ...]
 
 CANDIDATE_LIMIT = 10**5
 UNIVERSE_LIMIT = 10**4
-COUNT_ALL_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -71,31 +69,23 @@ def copy_count(k: int, m: int) -> int:
     return math.prod(math.comb(fib(k + s), fib(s)) for s in range(1, m + 1))
 
 
-def _check_copy_space(k: int, m: int, unsafe_limits: bool) -> None:
+def enumerate_copies(
+    k: int, r: int, m: int, unsafe_limits: bool = False
+) -> List[CopySpec]:
+    """All copies rooted at (r, k), ordered lexicographically by chosen subsets."""
+    _validate(k, r, m)
     # Guard incrementally: the running product crosses the limit long before
     # any individual binomial factor gets expensive to evaluate.
     running = 1
     for s in range(1, m + 1):
         running *= math.comb(fib(k + s), fib(s))
         ensure_within("candidate copy count", running, CANDIDATE_LIMIT, unsafe_limits)
-
-
-def _copies(k: int, r: int, m: int) -> List[CopySpec]:
     per_level = [
         sorted(combinations(range(1, fib(k + s) + 1), fib(s)))
         for s in range(1, m + 1)
     ]
     root = VertexCoord(r, k)
     return [CopySpec(root, chosen) for chosen in product(*per_level)]
-
-
-def enumerate_copies(
-    k: int, r: int, m: int, unsafe_limits: bool = False
-) -> List[CopySpec]:
-    """All copies rooted at (r, k), ordered lexicographically by chosen subsets."""
-    _validate(k, r, m)
-    _check_copy_space(k, m, unsafe_limits)
-    return _copies(k, r, m)
 
 
 def no_cover_reason(k: int, m: int) -> Optional[str]:
@@ -130,6 +120,14 @@ def ratio_identity(n: int, k: int) -> bool:
     return lhs == fibonomial(n, k) * f_factorial(n - k)
 
 
+def _reason_after_guards(k: int, r: int, m: int, unsafe_limits: bool) -> Optional[str]:
+    """no_cover_reason(k, m), once the root is valid and the universe guarded."""
+    _validate(k, r, m)
+    universe_size = f_falling(k + m, m)
+    ensure_within("chain universe size", universe_size, UNIVERSE_LIMIT, unsafe_limits)
+    return no_cover_reason(k, m)
+
+
 def find_tiling(
     k: int, r: int, m: int, unsafe_limits: bool = False
 ) -> Optional[TilingSolution]:
@@ -140,10 +138,7 @@ def find_tiling(
     guards. The tiling has fibonomial(k+m, m) copies; verify checks it
     against the first cover of the exact-cover search where that is feasible.
     """
-    _validate(k, r, m)
-    universe_size = f_falling(k + m, m)
-    ensure_within("chain universe size", universe_size, UNIVERSE_LIMIT, unsafe_limits)
-    if no_cover_reason(k, m):
+    if _reason_after_guards(k, r, m, unsafe_limits):
         return None
     blocks = [
         [tuple(range(i, i + fib(s))) for i in range(1, fib(k + s) + 1, fib(s))]
@@ -157,24 +152,26 @@ def find_tiling(
     return TilingSolution(root, m, copies, assignment)
 
 
-def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> int:
-    """Number of distinct tilings, by exact-cover search; guarded tightly
-    because counts explode.
+def _pair_tilings(a: int, b: int, c: int) -> int:
+    """Exact covers of the grid [1..a] x [1..b] x [1..c] by boxes {x} x {y} x
+    {z, z'}: ((c - 1)!!)^(ab), as each line splits into pairs on its own."""
+    return 0 if c % 2 else math.prod(range(c - 1, 0, -2)) ** (a * b)
 
-    0 without a search exactly when no_cover_reason(k, m) is not None.
-    """
-    _validate(k, r, m)
-    universe_size = f_falling(k + m, m)
-    ensure_within(
-        "chain universe size (count-all)", universe_size, COUNT_ALL_LIMIT, unsafe_limits
-    )
-    _check_copy_space(k, m, unsafe_limits)
-    if no_cover_reason(k, m):
+
+def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> int:
+    """Number of distinct tilings; 0 exactly when no_cover_reason fires after
+    the guards. F_1 = F_2 = 1, so a copy fixes a chain's first two coordinates
+    and each of the F_{k+1} F_{k+2} fibres is tiled on its own: a fibre is
+    one chain for m <= 2 and a line of F_{k+3} chains cut into pairs for
+    m = 3. For m >= 4 (then 12 | k, and the smallest fibre is a 610 x 987
+    grid of 2 x 3 boxes) no closed form is known: ValueError."""
+    if _reason_after_guards(k, r, m, unsafe_limits):
         return 0
-    candidates = _copies(k, r, m)
-    return exactcover.count_covers(
-        chain_universe(k, m), [chains_of_copy(c) for c in candidates]
-    )
+    if m <= 2:
+        return 1
+    if m > 3:
+        raise ValueError(f"no closed form is known for tiling counts at height {m}")
+    return _pair_tilings(fib(k + 1), fib(k + 2), fib(k + 3))
 
 
 def verify_tiling(t: TilingSolution) -> bool:

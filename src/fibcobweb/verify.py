@@ -8,7 +8,8 @@ counterexample on failure. The CLI surfaces these as `verify --suite NAME`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Dict, List, Optional, Tuple
@@ -31,6 +32,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
 
 def _result(name: str, counterexample: Optional[str], ok_detail: str = "") -> CheckResult:
@@ -324,15 +326,21 @@ def check_recurrence_decomposition(max_n: int = 30) -> CheckResult:
     return _result("two-class recurrence split", None, f"n <= {max_n}")
 
 
-def _first_box_cover(sizes, sides) -> Optional[list]:
-    """First exact cover, in exactcover's search order, of the grid
-    [1..n_1] x ... x [1..n_m] by boxes A_1 x ... x A_m with |A_i| = sides[i];
-    each box as its tuple (A_1, ..., A_m). None when no cover exists."""
+def _box_grid(sizes, sides):
+    """The grid [1..n_1] x ... x [1..n_m], the boxes A_1 x ... x A_m in it
+    with |A_i| = sides[i], each as its tuple (A_1, ..., A_m), and their cells."""
     boxes = list(
         product(*(combinations(range(1, n + 1), a) for n, a in zip(sizes, sides)))
     )
     grid = product(*(range(1, n + 1) for n in sizes))
-    rows = exactcover.solve_first(grid, [frozenset(product(*box)) for box in boxes])
+    return grid, boxes, [frozenset(product(*box)) for box in boxes]
+
+
+def _first_box_cover(sizes, sides) -> Optional[list]:
+    """First exact cover of the box grid, in exactcover's search order, as
+    its boxes. None when no cover exists."""
+    grid, boxes, cells = _box_grid(sizes, sides)
+    rows = exactcover.solve_first(grid, cells)
     return None if rows is None else [boxes[i] for i in rows]
 
 
@@ -390,6 +398,31 @@ def check_tiling_instances(
     if absent:
         detail += f"; no cover exists: {', '.join(absent)}"
     return CheckResult("tiling construction on contract instances", True, detail)
+
+
+def check_tiling_counts(
+    grids: Tuple[Tuple[int, int, int], ...] = (
+        (1, 1, 1), (1, 1, 2), (1, 1, 7), (1, 1, 8), (1, 2, 5),
+        (1, 2, 6), (2, 2, 5), (2, 3, 4), (2, 3, 5), (3, 3, 3),
+    ),
+) -> CheckResult:
+    """count_all_tilings against counting every exact cover by search, over
+    all copies for each (k, m) with at most 30 chains (all have k <= 7 and
+    m <= 4), and the fibre count ((c - 1)!!)^(ab) against the search on
+    a x b x c grids of boxes with sides 1, 1, 2."""
+    name = "tiling counts vs exact-cover search"
+    for k, m in product(range(1, 8), range(1, 5)):
+        if f_falling(k + m, m) > 30:
+            continue
+        families = [tiling.chains_of_copy(c) for c in tiling.enumerate_copies(k, 1, m)]
+        want = exactcover.count_covers(tiling.chain_universe(k, m), families)
+        if tiling.count_all_tilings(k, 1, m) != want:
+            return _result(name, f"(k, m) = ({k}, {m})")
+    for a, b, c in grids:
+        grid, _, cells = _box_grid((a, b, c), (1, 1, 2))
+        if tiling._pair_tilings(a, b, c) != exactcover.count_covers(grid, cells):
+            return _result(name, f"{a}x{b}x{c} grid of 1x1x2 boxes")
+    return _result(name, None, f"universe <= 30; 1x1x2 boxes on {len(grids)} grids")
 
 
 # --------------------------------------------------------------------- paths
@@ -495,6 +528,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
         check_recurrence_decomposition,
         check_divisibility_rule,
         check_tiling_instances,
+        check_tiling_counts,
     ),
     "paths": (
         check_paths_identity,
@@ -513,12 +547,14 @@ SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
 def _run_check(check: Check) -> CheckResult:
-    """check(), or a failed result naming what it raised: a route that
-    raises fails its own check and the remaining checks still run."""
+    """check() with its wall time, or a failed result naming what it raised:
+    a route that raises fails its own check and the remaining checks still run."""
+    started = time.perf_counter()
     try:
-        return check()
+        result = check()
     except Exception as exc:
-        return CheckResult(check.__name__, False, f"raised {type(exc).__name__}: {exc}")
+        result = CheckResult(check.__name__, False, f"raised {type(exc).__name__}: {exc}")
+    return replace(result, seconds=time.perf_counter() - started)
 
 
 def run_suite(name: str) -> List[CheckResult]:

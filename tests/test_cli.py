@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -175,9 +177,32 @@ def test_tiling_count_all(capsys):
 
 
 def test_tiling_count_all_guard(capsys):
-    code, _, err = run(capsys, "tiling", "3", "1", "3", "--count-all")
+    code, _, err = run(capsys, "tiling", "9", "1", "3", "--count-all")
     assert code == 3
     assert "guard" in err
+
+
+def test_tiling_count_all_closed_form(capsys):
+    code, out, _ = run(capsys, "tiling", "3", "1", "3", "--count-all")
+    assert code == 0
+    assert out == "covers 2078928179411367257720947265625\n"
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [(["tiling", "3", "1", "3"], 0), (["tiling", "12", "1", "4"], 2)],
+)
+def test_tiling_count_all_unsafe_ends_quickly(argv, exit_code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", *argv, "--count-all", "--unsafe-limits"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == exit_code
+    assert "Traceback" not in proc.stderr
+    if exit_code == 2:
+        assert proc.stderr.splitlines()[-1].startswith("error: no closed form")
 
 
 def test_tiling_guard_message_is_short(capsys):
@@ -359,6 +384,17 @@ def test_verify_suite_arith(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1] == "suite arith: PASS"
     assert "wall time" in err
+
+
+def test_verify_times_each_check(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "fence")
+    assert code == 0
+    timings = [line for line in err.splitlines() if line.startswith("check ")]
+    assert len(timings) == len(verify.SUITES["fence"])
+    for line, result in zip(timings, out.splitlines()):
+        name = result.removeprefix("PASS ").split(" (")[0]
+        assert line.startswith(f"check {name} wall time: ") and line.endswith("s")
+    assert err.splitlines()[-1].startswith("suite fence wall time: ")
 
 
 def test_verify_reports_failures(monkeypatch, capsys):

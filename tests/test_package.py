@@ -38,6 +38,10 @@ def test_a_command_loads_only_what_it_runs():
     loaded = _loaded_by("mobius", "5")
     assert "fibcobweb.cobweb" in loaded
     assert not loaded & {"fibcobweb.tiling", "fibcobweb.verify"}
+    for argv in (("tiling", "4", "1", "2"), ("tiling", "3", "1", "3", "--count-all")):
+        loaded = _loaded_by(*argv)
+        assert "fibcobweb.tiling" in loaded
+        assert "fibcobweb.exactcover" not in loaded
     loaded = _loaded_by("fence", "10")
     assert "fibcobweb.fence" in loaded
     assert "dataclasses" not in loaded

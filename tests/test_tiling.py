@@ -118,7 +118,7 @@ def test_guards_and_validation_come_before_the_divisibility_rule():
     with pytest.raises(GuardExceeded):
         find_tiling(1, 1, 7)  # 65520-chain universe
     with pytest.raises(GuardExceeded):
-        count_all_tilings(1, 1, 5)  # 240-chain universe
+        count_all_tilings(1, 1, 7)  # 65520-chain universe
     for call in (find_tiling, count_all_tilings):
         with pytest.raises(ValueError):
             call(2, 1, 0)
@@ -249,8 +249,26 @@ def test_count_all_tilings():
     assert count_all_tilings(3, 1, 2) == 1
     assert count_all_tilings(1, 1, 3) == 0
     assert count_all_tilings(2, 1, 3) == 0
+    # 15 fibres, each a line of F_6 = 8 chains cut into pairs in 7!! ways
+    assert count_all_tilings(3, 1, 3) == 105**15
+
+
+def test_count_all_tilings_at_height_three():
+    # 13 * 21 fibres, each a line of F_9 = 34 chains: 33!! pairings apiece
+    assert count_all_tilings(6, 1, 3) == math.prod(range(33, 0, -2)) ** 273
+    assert count_all_tilings(6, 8, 3) == count_all_tilings(6, 1, 3)
+    for k in (1, 2, 4, 5, 7, 8, 10):
+        # F_{k+3} is odd: no line splits into pairs
+        assert count_all_tilings(k, 1, 3, unsafe_limits=True) == 0
+
+
+def test_count_all_tilings_above_height_three_has_no_closed_form():
+    # the rule holds at (12, 4); its fibres are 610 x 987 grids of 2 x 3 boxes
+    assert no_cover_reason(12, 4) is None
+    with pytest.raises(ValueError, match="no closed form"):
+        count_all_tilings(12, 1, 4, unsafe_limits=True)
     with pytest.raises(GuardExceeded):
-        count_all_tilings(3, 1, 3)  # 120-chain universe over the count-all limit
+        count_all_tilings(12, 1, 4)
 
 
 def test_recurrence_decomposition_examples():

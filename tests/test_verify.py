@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from fibcobweb import cli, verify
+from fibcobweb import cli, tiling, verify
 
 
 def test_suite_names():
@@ -42,6 +44,28 @@ def test_tiling_check_reports_absences_explicitly():
     assert "no cover exists" in result.detail
     assert "(1,3)" in result.detail and "(2,3)" in result.detail
     assert "(2,2)" in result.detail
+
+
+def test_tiling_count_check_passes():
+    result = verify.check_tiling_counts()
+    assert result.passed, result.detail
+
+
+@pytest.mark.parametrize(
+    "wrong,where",
+    [
+        # forgets that an odd line has no pairing
+        (lambda a, b, c: math.prod(range(c - 1, 0, -2)) ** (a * b), "1x1x1 grid"),
+        # one factor per axis instead of one per line
+        (lambda a, b, c: 0 if c % 2 else math.prod(range(c - 1, 0, -2)) ** (a + b),
+         "1x1x8 grid"),
+    ],
+)
+def test_tiling_count_check_fails_on_a_wrong_fibre_formula(monkeypatch, wrong, where):
+    monkeypatch.setattr(tiling, "_pair_tilings", wrong)
+    result = verify.check_tiling_counts()
+    assert not result.passed
+    assert where in result.detail
 
 
 def test_stirling_helpers():
