@@ -4,15 +4,18 @@ Level s holds F_s vertices; consecutive levels are completely connected, so
 two distinct vertices are comparable exactly when they sit on different
 levels. Vertices are linearised level by level: level s occupies 1-based
 indices F_{s+1} .. F_{s+2}-1 (the prefix sum F_1+...+F_{s-1} equals
-F_{s+1}-1). The order-indicator matrix is built both from the comparability
-predicate and from an explicit Kronecker-delta expansion.
+F_{s+1}-1).
 
 The poset is an ordinal sum of antichains, so off the diagonal every
 incidence function depends only on the levels s < t of x < y:
-mu(x, y) = -prod_{s<i<t} (1 - F_i), and the number of chains from x to y is
-prod_{s<i<t} (1 + F_i). The Mobius matrix and chain counts are read off
-these level formulas; `verify` checks them against the order-indicator
-matrix (zeta * mobius == identity) and a brute-force chain count.
+zeta(x, y) = 1, mu(x, y) = -prod_{s<i<t} (1 - F_i), and the number of chains
+from x to y is prod_{s<i<t} (1 + F_i). One row builder writes the
+order-indicator matrix, applying the comparability predicate once per pair
+of levels, and the Mobius matrix from these level values; chain counts are
+read off the level formula. The explicit Kronecker-delta expansion builds
+the order-indicator matrix without the level layout: it is the independent
+route `verify` compares the first with. `verify` also checks
+zeta * mobius == identity and a brute-force chain count.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .guards import ensure_within
@@ -28,6 +32,8 @@ from .seqcore import exact_div, f_factorial, f_falling, fib
 ENUMERATION_LIMIT = 10**6
 # Dense matrices hold dim^2 entries. The dimension at N = 15 is 1596 (about
 # 20 MB a matrix); N = 16 (2583) is refused, N = 20 (17710) would need GBs.
+# The builders test the dimension inline before calling the guard, because
+# warm callers ask for the cached matrix once per entry they read.
 DENSE_LIMIT = 2000
 
 
@@ -207,40 +213,43 @@ class IncMatrix:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
 
 
-@lru_cache(maxsize=1)
-def _zeta_from_order(max_level: int) -> IncMatrix:
-    p = CobwebPoset(max_level)
-    n = p.vertex_count
-    levels = [p.level_of(x) for x in range(1, n + 1)]
+def _level_rows(p: CobwebPoset, between) -> IncMatrix:
+    """1 on the diagonal, between(s, t) from each vertex of level s to every
+    vertex of each level t > s, and 0 elsewhere: the shape of every incidence
+    function of an ordinal sum of antichains."""
     rows = []
-    for x in range(1, n + 1):
-        lx = levels[x - 1]
-        rows.append(
-            tuple(
-                1 if (x == y or lx < levels[y - 1]) else 0 for y in range(1, n + 1)
-            )
-        )
+    for s in range(1, p.max_level + 1):
+        template = [0] * p.vertex_count
+        for t in range(s + 1, p.max_level + 1):
+            r = p.level_range(t)
+            template[r.start - 1 : r.stop - 1] = [between(s, t)] * len(r)
+        for x in p.level_range(s):
+            row = template.copy()
+            row[x - 1] = 1
+            rows.append(row)
     return IncMatrix._of_rows(rows)
 
 
 @lru_cache(maxsize=1)
-def _zeta_explicit(max_level: int) -> IncMatrix:
+def _zeta_from_order(max_level: int) -> IncMatrix:
     p = CobwebPoset(max_level)
-    n = p.vertex_count
-    rows = [[0] * n for _ in range(n)]
+    first = p.level_starts
+    return _level_rows(p, lambda s, t: int(p.leq(first[s - 1], first[t - 1])))
+
+
+@lru_cache(maxsize=1)
+def _zeta_explicit(max_level: int) -> IncMatrix:
+    n = CobwebPoset(max_level).vertex_count
     # First summand: 1 whenever y = x + k for some k >= 0 (the sums below are
     # truncated at the matrix dimension; all deltas vanish beyond it).
-    for x in range(1, n + 1):
-        for y in range(x, n + 1):
-            rows[x - 1][y - 1] = 1
+    rows = [[0] * (x - 1) + [1] * (n - x + 1) for x in range(1, n + 1)]
     # Subtracted summand: for x = F_{s+1} + k it clears the k-th vertex's
     # remaining same-level entries y = x + r, 1 <= r <= F_s - k - 1.
-    for x in range(1, n + 1):
-        for s in range(1, max_level + 1):
-            k = x - fib(s + 1)
-            if k < 0:
-                continue
-            for r in range(1, fib(s) - k):
+    for s in range(1, max_level + 1):
+        start, size = fib(s + 1), fib(s)
+        for x in range(start, n + 1):
+            k = x - start
+            for r in range(1, size - k):
                 y = x + r
                 if y <= n:
                     rows[x - 1][y - 1] -= 1
@@ -250,21 +259,9 @@ def _zeta_explicit(max_level: int) -> IncMatrix:
 @lru_cache(maxsize=1)
 def _mobius(max_level: int) -> IncMatrix:
     p = CobwebPoset(max_level)
-    rows = []
-    for s in range(1, max_level + 1):
-        # Row template for level s: zero up to level s, then mu_{s,t} on
-        # every level t > s.
-        template = [0] * p.vertex_count
-        between = 1
-        for t in range(s + 1, max_level + 1):
-            r = p.level_range(t)
-            template[r.start - 1 : r.stop - 1] = [-between] * len(r)
-            between *= 1 - p.level_sizes[t - 1]
-        for x in p.level_range(s):
-            row = template.copy()
-            row[x - 1] = 1
-            rows.append(row)
-    return IncMatrix._of_rows(rows)
+    sizes = p.level_sizes
+    # mu_{s,t} = -prod_{s<i<t} (1 - F_i); sizes[s : t - 1] are F_{s+1}..F_{t-1}
+    return _level_rows(p, lambda s, t: -prod(1 - f for f in sizes[s : t - 1]))
 
 
 @lru_cache(maxsize=1)
@@ -277,31 +274,25 @@ def _chain_prefix(max_level: int) -> Tuple[int, ...]:
     return tuple(prefix)
 
 
-def _dense_guard(p: CobwebPoset, unsafe_limits: bool) -> None:
-    """GuardExceeded unless unsafe_limits. The builders call this only when
-    p.vertex_count > DENSE_LIMIT, testing that inline, because warm callers
-    ask for the cached matrix once per entry they read."""
-    ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
-
-
 def zeta_from_order(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
-    """Order-indicator matrix built from the comparability predicate."""
+    """Order-indicator matrix built from the comparability predicate, applied
+    once per pair of levels through the row builder shared with `mobius`."""
     if p.vertex_count > DENSE_LIMIT:
-        _dense_guard(p, unsafe_limits)
+        ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
     return _zeta_from_order(p.max_level)
 
 
 def zeta_explicit(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     """Order-indicator matrix built from the Kronecker-delta expansion."""
     if p.vertex_count > DENSE_LIMIT:
-        _dense_guard(p, unsafe_limits)
+        ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
     return _zeta_explicit(p.max_level)
 
 
 def mobius(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     """Mobius matrix, the inverse of the order-indicator matrix."""
     if p.vertex_count > DENSE_LIMIT:
-        _dense_guard(p, unsafe_limits)
+        ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
     return _mobius(p.max_level)
 
 

@@ -23,14 +23,12 @@ class WeightVector:
 
     __slots__ = ("weights",)
 
-    def __init__(self, weights: Iterable[int], sort: bool = False):
+    def __init__(self, weights: Iterable[int]):
         ws = tuple(int(w) for w in weights)
         for w in ws:
             if w < 1:
                 raise ValueError(f"weights must be >= 1, got {w}")
-        if sort:
-            ws = tuple(sorted(ws))
-        elif any(a > b for a, b in zip(ws, ws[1:])):
+        if any(a > b for a, b in zip(ws, ws[1:])):
             raise ValueError(f"weights must be nondecreasing, got {ws}")
         object.__setattr__(self, "weights", ws)
 

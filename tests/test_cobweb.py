@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from math import prod
 
 import pytest
 
@@ -103,6 +104,32 @@ def test_zeta_constructions_agree():
     for n in range(1, 11):
         p = build(n)
         assert zeta_explicit(p) == zeta_from_order(p)
+
+
+def test_zeta_from_order_matches_the_order_relation():
+    for n in range(1, 10):
+        p = build(n)
+        z = zeta_from_order(p)
+        for x in range(1, p.vertex_count + 1):
+            for y in range(1, p.vertex_count + 1):
+                assert z.entry(x, y) == int(p.leq(x, y))
+
+
+def test_mobius_matches_the_level_formula():
+    for n in range(1, 10):
+        p = build(n)
+        m = mobius(p)
+        for x in range(1, p.vertex_count + 1):
+            s = p.level_of(x)
+            for y in range(1, p.vertex_count + 1):
+                t = p.level_of(y)
+                if x == y:
+                    want = 1
+                elif s < t:
+                    want = -prod(1 - fib(i) for i in range(s + 1, t))
+                else:
+                    want = 0
+                assert m.entry(x, y) == want
 
 
 def test_mobius_small_entries():

@@ -22,7 +22,6 @@ def test_weight_vector_validation():
         WeightVector((0, 1))
     with pytest.raises(ValueError):
         WeightVector((2, 1))
-    assert WeightVector((3, 1, 2), sort=True).weights == (1, 2, 3)
 
 
 def test_weight_vector_is_immutable():
