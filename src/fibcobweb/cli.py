@@ -2,7 +2,8 @@
 
 Results go to stdout (or --out), diagnostics to stderr. Exit codes: 0 on
 success, 1 on verification failure, 2 on usage errors, 3 when a desk-scale
-guard is exceeded (override with --unsafe-limits). Numbers are emitted as
+guard is exceeded (override with --unsafe-limits) or memory runs out (one
+stderr line, no traceback). Numbers are emitted as
 exact decimal strings; output for a fixed invocation is byte-identical
 across runs.
 """
@@ -485,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         print("rerun with --unsafe-limits to override", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("guard exceeded: out of memory", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,7 +145,8 @@ def fibonomial_rec(n: int, k: int, variant: str = "A") -> int:
 
 
 class IntPolynomial:
-    """Immutable dense integer polynomial in one variable.
+    """Immutable dense integer polynomial in one variable, the value that
+    `q_binomial` returns; not a general polynomial ring.
 
     Coefficients are stored lowest power first with trailing zeros stripped;
     the zero polynomial has degree -1.
@@ -164,8 +165,9 @@ class IntPolynomial:
 
     @classmethod
     def _of_ints(cls, cs: list) -> "IntPolynomial":
-        """Result of arithmetic on int coefficients: strips trailing zeros
-        but skips the per-coefficient type check of the public constructor."""
+        """Wraps int coefficients built in this module (a sum, or the last row
+        of `q_binomial`'s sweep), stripping trailing zeros in place but
+        skipping the per-coefficient type check of the public constructor."""
         while cs and cs[-1] == 0:
             cs.pop()
         poly = object.__new__(cls)
@@ -174,20 +176,6 @@ class IntPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "IntPolynomial":
-        if power < 0:
-            raise ValueError("power must be >= 0")
-        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -219,59 +207,6 @@ class IntPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial._of_ints([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        return self + (-other)
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial._of_ints([c * other for c in self.coeffs])
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial._of_ints(out)
-
-    __rmul__ = __mul__
-
-    def shift(self, power: int) -> "IntPolynomial":
-        """Multiply by q^power."""
-        if self.is_zero():
-            return self
-        return IntPolynomial._of_ints([0] * power + list(self.coeffs))
-
-    def divexact(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Polynomial long division; raises unless the division is exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        if len(rem) < len(div):
-            if any(rem):
-                raise AssertionError("inexact polynomial division")
-            return IntPolynomial()
-        out = [0] * (len(rem) - len(div) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            lead = rem[i + len(div) - 1]
-            c = exact_div(lead, div[-1])
-            out[i] = c
-            if c:
-                for j, d in enumerate(div):
-                    rem[i + j] -= c * d
-        if any(rem):
-            raise AssertionError("inexact polynomial division")
-        return IntPolynomial._of_ints(out)
-
     def evaluate(self, x: int) -> int:
         value = 0
         for c in reversed(self.coeffs):
@@ -298,9 +233,20 @@ def q_binomial(n: int, k: int) -> IntPolynomial:
     """Gaussian binomial polynomial in q; the zero polynomial when k > n.
 
     The value comes from an iterative band sweep of the q-Pascal rule
-    (n k) = q^k (n-1 k) + (n-1 k-1).
+    (n k) = q^k (n-1 k) + (n-1 k-1) over plain coefficient lists; only the
+    final entry is wrapped as an `IntPolynomial`.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    one, zero = IntPolynomial.one(), IntPolynomial.zero()
-    return _triangle(n, k, lambda i, j, up, left: up.shift(j) + left, one, zero)
+    return IntPolynomial._of_ints(_triangle(n, k, _q_pascal_step, [1], []))
+
+
+def _q_pascal_step(i: int, j: int, up: list, left: list) -> list:
+    """q^j·up + left as a new coefficient list, lowest power first. Neither
+    input is changed, because the starting row repeats one zero list."""
+    if not up:
+        return left[:]
+    out = [0] * j + up
+    for m, c in enumerate(left):  # deg left = (j-1)(i-j) <= deg q^j·up
+        out[m] += c
+    return out

@@ -205,6 +205,30 @@ def test_tiling_count_all_unsafe_ends_quickly(argv, exit_code):
         assert proc.stderr.splitlines()[-1].startswith("error: no closed form")
 
 
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv", [["tiling", "3000000", "1", "1"], ["chains", "1", "3000000"]]
+)
+def test_out_of_memory_exits_3_without_traceback(argv):
+    # Both fill the Fibonacci table up to index 3000000 before any guard
+    # can refuse; 1 GiB of address space in the child runs out first.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "guard exceeded: out of memory\n"
+
+
 def test_tiling_guard_message_is_short(capsys):
     # the guarded universe F_1001 has 209 digits
     code, _, err = run(capsys, "tiling", "1000", "1", "1")

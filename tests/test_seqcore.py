@@ -2,6 +2,8 @@ import math
 import subprocess
 import sys
 import threading
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -238,31 +240,25 @@ def test_fibonomial_rec_rejects_bad_arguments():
         fibonomial_rec(-1, 0, "A")
 
 
-def _one_minus_power(p):
-    return IntPolynomial((1,)) - IntPolynomial.monomial(p)
-
-
-def _q_binomial_by_division(n, k):
-    num = IntPolynomial.one()
-    den = IntPolynomial.one()
-    for i in range(1, k + 1):
-        num = num * _one_minus_power(n - k + i)
-        den = den * _one_minus_power(i)
-    return num.divexact(den)
+def _q_binomial_by_subset_sums(n, k):
+    """Coefficient tuple of (n k)_q: the coefficient of q^j counts the
+    k-subsets of {0, ..., n-1} whose sum is j + k(k-1)/2."""
+    counts = Counter(sum(s) - k * (k - 1) // 2 for s in combinations(range(n), k))
+    return tuple(counts[j] for j in range(max(counts, default=-1) + 1))
 
 
 def test_q_binomial_examples():
     assert q_binomial(4, 2).coeffs == (1, 1, 2, 1, 1)
     for n in range(8):
-        assert q_binomial(n, 0) == IntPolynomial.one()
+        assert q_binomial(n, 0) == IntPolynomial((1,))
     assert q_binomial(3, 2).evaluate(1) == 3
     assert q_binomial(2, 5).is_zero()
 
 
-def test_q_binomial_matches_division_oracle():
+def test_q_binomial_matches_subset_sums():
     for n in range(11):
-        for k in range(n + 1):
-            assert q_binomial(n, k) == _q_binomial_by_division(n, k)
+        for k in range(n + 2):
+            assert q_binomial(n, k).coeffs == _q_binomial_by_subset_sums(n, k)
 
 
 def test_q_binomial_coefficients_nonnegative_and_sum_to_binomial():
@@ -295,22 +291,9 @@ def test_polynomial_arithmetic():
     p = IntPolynomial((1, 1))  # 1 + q
     q = IntPolynomial((-1, 0, 2))  # -1 + 2q^2
     assert (p + q).coeffs == (0, 1, 2)
-    assert (p - q).coeffs == (2, 1, -2)
-    assert (p * q).coeffs == (-1, -1, 2, 2)
-    assert (3 * p).coeffs == (3, 3)
-    assert p.shift(2).coeffs == (0, 0, 1, 1)
-    assert (p - p).is_zero() and (0 * p).is_zero()
+    assert (q + IntPolynomial((1, 0, -2))).is_zero()
+    assert (1 + p).coeffs == (2, 1)
     assert p.evaluate(5) == 6
-    assert IntPolynomial.monomial(3, 4).coeffs == (0, 0, 0, 4)
-
-
-def test_polynomial_division_checks_exactness():
-    p = IntPolynomial((1, 2, 1))  # (1 + q)^2
-    assert p.divexact(IntPolynomial((1, 1))).coeffs == (1, 1)
-    with pytest.raises(AssertionError):
-        IntPolynomial((1, 1, 1)).divexact(IntPolynomial((1, 1)))
-    with pytest.raises(ZeroDivisionError):
-        p.divexact(IntPolynomial.zero())
 
 
 def test_polynomial_immutable_and_hashable():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fibcobweb import cli, tiling, verify
+from fibcobweb import cli, cobweb, tiling, verify
 
 
 def test_suite_names():
@@ -25,8 +25,19 @@ def test_fence_suite_passes():
     assert all(r.passed for r in verify.run_suite("fence"))
 
 
-def test_zeta_fault_injection_reports_counterexample():
-    result = verify.check_zeta_equivalence(max_level=6, _corrupt=(3, 5))
+def test_zeta_fault_injection_reports_counterexample(monkeypatch):
+    zeta_explicit = cobweb.zeta_explicit
+
+    def flipped(p):  # entry (3, 5) flipped once the dimension reaches 5
+        z = zeta_explicit(p)
+        if z.dim < 5:
+            return z
+        rows = [list(row) for row in z.rows]
+        rows[2][4] ^= 1
+        return cobweb.IncMatrix(rows)
+
+    monkeypatch.setattr(cobweb, "zeta_explicit", flipped)
+    result = verify.check_zeta_equivalence(max_level=6)
     assert not result.passed
     assert "(3, 5)" in result.detail
 
@@ -72,3 +83,8 @@ def test_stirling_helpers():
     assert verify.stirling1_unsigned(4, 2) == 11
     assert verify.stirling2(4, 2) == 7
     assert verify.stirling2(5, 3) == 25
+
+
+def test_stirling_helpers_past_the_recursion_limit():
+    assert verify.stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+    assert verify.stirling1_unsigned(1500, 1499) == math.comb(1500, 2)
