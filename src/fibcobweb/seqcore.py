@@ -197,6 +197,8 @@ class IntPolynomial:
     def __add__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             other = IntPolynomial((other,))
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a

@@ -175,27 +175,34 @@ def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> in
 
 
 def verify_tiling(t: TilingSolution) -> bool:
-    """Structural check: shared root, well-formed copies, disjoint families
-    partitioning the full chain universe, consistent assignment."""
+    """Structural check: a valid root of height m >= 1 shared by every copy;
+    each copy of height m with, at every level k+s, F_s distinct positions in
+    1..F_{k+s}; families pairwise disjoint and covering all f_falling(k+m, m)
+    chains; and t.assignment mapping each chain to the index of its copy.
+
+    Each distinct subset object is checked once per level, so the block
+    tuples that find_tiling shares between copies cost one check each. A copy
+    of well-formed subsets has exactly prod F_s chains, so the families are
+    disjoint iff the chain-to-copy map built in one pass has
+    len(copies) * prod F_s entries. The cost is linear in the chains."""
     k, m = t.root.s, t.height
     if not (k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
         return False
-    seen: Dict[ChainTuple, int] = {}
-    for idx, c in enumerate(t.copies):
-        if c.root != t.root or c.height != m:
-            return False
-        for s, subset in enumerate(c.chosen, start=1):
-            if len(subset) != fib(s) or len(set(subset)) != len(subset):
-                return False
-            if not all(1 <= pos <= fib(k + s) for pos in subset):
-                return False
-        for chain in chains_of_copy(c):
-            if chain in seen:
-                return False
-            seen[chain] = idx
-    if len(seen) != f_falling(k + m, m):
+    copies = t.copies
+    if any(c.root != t.root or len(c.chosen) != m for c in copies):
         return False
-    return t.assignment == seen
+    sizes = [fib(s) for s in range(1, m + 1)]
+    tops = [fib(k + s) for s in range(1, m + 1)]
+    for size, top, level in zip(sizes, tops, zip(*(c.chosen for c in copies))):
+        for subset in {id(subset): subset for subset in level}.values():
+            if len(subset) != size or len(set(subset)) != size:
+                return False
+            if not (1 <= min(subset) and max(subset) <= top):
+                return False
+    chains = {chain: idx for idx, c in enumerate(copies) for chain in product(*c.chosen)}
+    if len(chains) != len(copies) * math.prod(sizes):
+        return False
+    return len(chains) == f_falling(k + m, m) and t.assignment == chains
 
 
 def recurrence_decomposition_check(n: int, k: int) -> bool:

@@ -395,6 +395,129 @@ def check_tiling_instances(
     return CheckResult("tiling construction on contract instances", True, detail)
 
 
+# Tamperings of a tiling t, each a function (t, i, j, s, p) of two copy
+# indices i, j < len(t.copies), a level index s < t.height and a position
+# index p. Each returns a tiling verify_tiling must reject, or None where it
+# does not apply. The structural ones carry the assignment their copies imply
+# (a later copy keeps a shared chain), so no assignment test can hide a
+# missed structural test.
+
+
+def _implied(t: tiling.TilingSolution, copies) -> tiling.TilingSolution:
+    assignment = {chain: idx for idx, c in enumerate(copies) for chain in product(*c.chosen)}
+    return tiling.TilingSolution(t.root, t.height, copies, assignment)
+
+
+def _with_copy(t: tiling.TilingSolution, i: int, root, chosen) -> tuple:
+    """t.copies with copy i replaced by CopySpec(root, chosen)."""
+    return t.copies[:i] + (tiling.CopySpec(root, tuple(chosen)),) + t.copies[i + 1:]
+
+
+def _with_subset(t: tiling.TilingSolution, i: int, s: int, subset) -> tuple:
+    chosen = list(t.copies[i].chosen)
+    chosen[s] = subset
+    return _with_copy(t, i, t.copies[i].root, chosen)
+
+
+def _with_position(t: tiling.TilingSolution, i: int, s: int, p: int, pos: int):
+    subset = list(t.copies[i].chosen[s])
+    subset[p % len(subset)] = pos
+    return _implied(t, _with_subset(t, i, s, tuple(subset)))
+
+
+def _other_root(t: tiling.TilingSolution) -> cobweb.VertexCoord:
+    return cobweb.VertexCoord(t.root.j, t.root.s + 1)
+
+
+def _swap_level(t, i, j, s, p):
+    a, b = t.copies[i].chosen[s], t.copies[j].chosen[s]
+    if a == b:
+        return None
+    moved = replace(t, copies=_with_subset(t, i, s, b))
+    return replace(t, copies=_with_subset(moved, j, s, a))
+
+
+def _repeat_position(t, i, j, s, p):
+    subset = t.copies[i].chosen[s]
+    if len(subset) < 2:
+        return None
+    return _with_position(t, i, s, p, subset[(p + 1) % len(subset)])
+
+
+def _extra_position(t, i, j, s, p):
+    subset = t.copies[i].chosen[s]
+    free = [pos for pos in range(1, fib(t.root.s + s + 1) + 1) if pos not in subset]
+    if not free:
+        return None
+    return _implied(t, _with_subset(t, i, s, tuple(subset) + (free[p % len(free)],)))
+
+
+def _extra_level(t, i, j, s, p):
+    c = t.copies[i]
+    return _implied(t, _with_copy(t, i, c.root, tuple(c.chosen) + ((1,),)))
+
+
+def _retarget_chain(t, i, j, s, p):
+    chain = next(product(*t.copies[i].chosen))
+    return replace(t, assignment={**t.assignment, chain: j if j != i else len(t.copies)})
+
+
+def _missing_chain(t, i, j, s, p):
+    chain = next(product(*t.copies[i].chosen))
+    return replace(t, assignment={c: idx for c, idx in t.assignment.items() if c != chain})
+
+
+TILING_TAMPERINGS = (
+    ("drop a copy", lambda t, i, j, s, p: _implied(t, t.copies[:i] + t.copies[i + 1:])),
+    ("duplicate a copy", lambda t, i, j, s, p: _implied(t, t.copies[:i + 1] + t.copies[i:])),
+    ("swap a level between two copies", _swap_level),
+    ("position 0", lambda t, i, j, s, p: _with_position(t, i, s, p, 0)),
+    (
+        "position past the level",
+        lambda t, i, j, s, p: _with_position(t, i, s, p, fib(t.root.s + s + 1) + 1),
+    ),
+    ("repeated position", _repeat_position),
+    ("extra position", _extra_position),
+    ("extra level", _extra_level),
+    ("moved root", lambda t, i, j, s, p: replace(t, root=_other_root(t))),
+    (
+        "copy with another root",
+        lambda t, i, j, s, p: _implied(t, _with_copy(t, i, _other_root(t), t.copies[i].chosen)),
+    ),
+    ("retargeted chain", _retarget_chain),
+    (
+        "extra chain",
+        lambda t, i, j, s, p: replace(t, assignment={**t.assignment, (0,) * t.height: i}),
+    ),
+    ("missing chain", _missing_chain),
+)
+
+
+def check_tiling_rejections(
+    instances: Tuple[Tuple[int, int], ...] = TILING_INSTANCES + ((3, 3),)
+) -> CheckResult:
+    """verify_tiling on each tileable instance: the constructed tiling passes,
+    and every tampering in TILING_TAMPERINGS, applied to the last copy (i),
+    the first copy (j) and the top level, fails. Names the first tampering
+    accepted."""
+    name = "tiling verification rejects tampered tilings"
+    checked = []
+    for k, m in instances:
+        t = tiling.find_tiling(k, 1, m)
+        if t is None:
+            continue
+        if not tiling.verify_tiling(t):
+            return _result(name, f"(k, m) = ({k}, {m}) constructed tiling rejected")
+        for label, tamper in TILING_TAMPERINGS:
+            tampered = tamper(t, len(t.copies) - 1, 0, m - 1, 0)
+            if tampered is not None and tiling.verify_tiling(tampered):
+                return _result(name, f"(k, m) = ({k}, {m}) accepted: {label}")
+        checked.append(f"({k},{m})")
+    return _result(
+        name, None, f"{len(TILING_TAMPERINGS)} tamperings of {', '.join(checked)}"
+    )
+
+
 def check_tiling_counts(
     grids: Tuple[Tuple[int, int, int], ...] = (
         (1, 1, 1), (1, 1, 2), (1, 1, 7), (1, 1, 8), (1, 2, 5),
@@ -523,6 +646,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
         check_recurrence_decomposition,
         check_divisibility_rule,
         check_tiling_instances,
+        check_tiling_rejections,
         check_tiling_counts,
     ),
     "paths": (

@@ -296,6 +296,15 @@ def test_polynomial_arithmetic():
     assert p.evaluate(5) == 6
 
 
+def test_polynomial_addition_rejects_other_types():
+    # NotImplemented from both sides, so Python raises TypeError
+    with pytest.raises(TypeError):
+        IntPolynomial((1,)) + 1.5
+    with pytest.raises(TypeError):
+        "a" + IntPolynomial((1,))
+    assert IntPolynomial((1,)) + True == IntPolynomial((2,))
+
+
 def test_polynomial_immutable_and_hashable():
     p = IntPolynomial((1, 2))
     with pytest.raises(AttributeError):

@@ -1,12 +1,17 @@
 import math
+from dataclasses import replace
+from typing import Dict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibcobweb import exactcover
+from fibcobweb import exactcover, tiling, verify
 from fibcobweb.cobweb import VertexCoord
 from fibcobweb.guards import GuardExceeded
-from fibcobweb.seqcore import f_factorial, fib, fibonomial
+from fibcobweb.seqcore import f_factorial, f_falling, fib, fibonomial
 from fibcobweb.tiling import (
+    ChainTuple,
     CopySpec,
     TilingSolution,
     chain_universe,
@@ -241,6 +246,70 @@ def test_verify_tiling_rejects_malformed_copy():
         solution.assignment,
     )
     assert not verify_tiling(tampered)
+
+
+def _verify_tiling_per_copy(t: TilingSolution) -> bool:
+    """The per-copy verify_tiling that the bulk check replaced: the reference."""
+    k, m = t.root.s, t.height
+    if not (k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
+        return False
+    seen: Dict[ChainTuple, int] = {}
+    for idx, c in enumerate(t.copies):
+        if c.root != t.root or c.height != m:
+            return False
+        for s, subset in enumerate(c.chosen, start=1):
+            if len(subset) != fib(s) or len(set(subset)) != len(subset):
+                return False
+            if not all(1 <= pos <= fib(k + s) for pos in subset):
+                return False
+        for chain in chains_of_copy(c):
+            if chain in seen:
+                return False
+            seen[chain] = idx
+    if len(seen) != f_falling(k + m, m):
+        return False
+    return t.assignment == seen
+
+
+def _with_list_subsets(t):
+    return replace(t, copies=tuple(
+        CopySpec(c.root, tuple(list(subset) for subset in c.chosen)) for c in t.copies
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_verify_tiling_matches_the_per_copy_reference(data):
+    k, m = data.draw(
+        st.sampled_from([(k, m) for k in range(1, 8) for m in (1, 2)] + [(3, 3), (6, 3)])
+    )
+    t = find_tiling(k, data.draw(st.integers(1, fib(k))), m)
+    if data.draw(st.booleans()):
+        t = _with_list_subsets(t)
+    _, tamper = data.draw(st.sampled_from((("none", None),) + verify.TILING_TAMPERINGS))
+    if tamper is not None:
+        copy_index = st.integers(0, len(t.copies) - 1)
+        i, j = data.draw(copy_index), data.draw(copy_index)
+        s, p = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, 1))
+        t = tamper(t, i, j, s, p) or t
+    assert verify_tiling(t) is _verify_tiling_per_copy(t)
+
+
+def test_verify_tiling_accepts_list_subsets():
+    assert verify_tiling(_with_list_subsets(find_tiling(6, 1, 3)))
+
+
+def test_verify_tiling_looks_up_each_fibonacci_number_once(monkeypatch):
+    solution = find_tiling(8, 1, 2)  # 1870 copies
+    calls = []
+
+    def counting_fib(n):
+        calls.append(n)
+        return fib(n)
+
+    monkeypatch.setattr(tiling, "fib", counting_fib)
+    assert verify_tiling(solution)
+    assert len(calls) <= 4 * 2 + 2  # 4m + 2, whatever the number of copies
 
 
 def test_count_all_tilings():

@@ -1,8 +1,10 @@
 import math
+from itertools import product
 
 import pytest
 
 from fibcobweb import cli, cobweb, tiling, verify
+from fibcobweb.seqcore import fib
 
 
 def test_suite_names():
@@ -77,6 +79,36 @@ def test_tiling_count_check_fails_on_a_wrong_fibre_formula(monkeypatch, wrong, w
     result = verify.check_tiling_counts()
     assert not result.passed
     assert where in result.detail
+
+
+def test_tiling_rejection_check_passes():
+    result = verify.check_tiling_rejections()
+    assert result.passed, result.detail
+    assert "(3,3)" in result.detail
+
+
+def test_tiling_rejection_check_fails_without_the_disjointness_test(monkeypatch):
+    def overlaps_allowed(t):
+        # verify_tiling's other tests: shared root, F_s distinct positions in
+        # range at each level, every chain covered, the implied assignment
+        k, m = t.root.s, t.height
+        chains = {chain: idx for idx, c in enumerate(t.copies) for chain in product(*c.chosen)}
+        well_formed = all(
+            c.root == t.root
+            and [len(set(x)) for x in c.chosen] == [fib(s) for s in range(1, m + 1)]
+            and all(1 <= pos <= fib(k + s) for s, x in enumerate(c.chosen, 1) for pos in x)
+            for c in t.copies
+        )
+        return (
+            well_formed
+            and sorted(chains) == tiling.chain_universe(k, m)
+            and t.assignment == chains
+        )
+
+    monkeypatch.setattr(tiling, "verify_tiling", overlaps_allowed)
+    result = verify.check_tiling_rejections()
+    assert not result.passed
+    assert result.detail == "counterexample: (k, m) = (1, 1) accepted: duplicate a copy"
 
 
 def test_stirling_helpers():
