@@ -45,11 +45,7 @@ _EXPORTS = {
     "tiling": (
         "CopySpec",
         "TilingSolution",
-        "chains_of_copy",
-        "enumerate_copies",
         "find_tiling",
-        "ratio_identity",
-        "recurrence_decomposition_check",
         "verify_tiling",
     ),
     "weighted": (

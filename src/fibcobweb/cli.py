@@ -171,6 +171,8 @@ def _cmd_fibonomial(args, out: _Output) -> int:
     from .seqcore import fibonomial
 
     if args.triangle is not None:
+        if args.n is not None:
+            raise ValueError("fibonomial takes either N (with optional K) or --triangle ROWS")
         if args.triangle < 0:
             raise ValueError("--triangle rows must be >= 0")
         rows = [
@@ -363,14 +365,16 @@ def _parse_weights(args):
         except ValueError as exc:
             raise ValueError(f"bad --weights value: {args.weights!r}") from exc
         return weighted.WeightVector(entries)
-    parts = args.preset.split(":")
-    kind = parts[0]
+    kind, *fields = args.preset.split(":")
     try:
-        n = int(parts[1])
-        q = int(parts[2]) if len(parts) > 2 else None
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"bad --preset value: {args.preset!r}") from exc
-    return weighted.preset_weights(kind, n, q)
+        if len(fields) > 1 + (kind == "geometric"):
+            raise ValueError("only geometric takes a ratio")
+        n, *q = map(int, fields)
+    except ValueError as exc:
+        raise ValueError(
+            f"bad --preset value: {args.preset!r}; use ones:N, arithmetic:N or geometric:N:Q"
+        ) from exc
+    return weighted.preset_weights(kind, n, *q)
 
 
 def _cmd_konvalina(args, out: _Output) -> int:

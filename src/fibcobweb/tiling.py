@@ -14,22 +14,27 @@ k+s into consecutive F_s-blocks, the products of blocks form a tiling with
 fibonomial(k+m, m) copies. find_tiling builds that tiling, and returns None
 exactly when the rule fails; count_all_tilings counts every tiling as a
 product over the fibres, the chains that share their first two coordinates.
+
+The module holds what `cobweb tiling` runs: copy_count, find_tiling,
+count_all_tilings and verify_tiling. Enumerating every candidate copy, and
+the exact-cover search over them, are oracles in verify, which also reads
+the Fibonomial recurrence off the constructed tiling: a cut of the top level
+k+m at F_{m+1}F_k splits its copies into the recurrence's two classes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from typing import Dict, List, Optional, Tuple
+from itertools import product
+from typing import Dict, Optional, Tuple
 
 from .cobweb import VertexCoord
 from .guards import ensure_within
-from .seqcore import exact_div, f_factorial, f_falling, fib, fibonomial
+from .seqcore import f_falling, fib
 
 ChainTuple = Tuple[int, ...]
 
-CANDIDATE_LIMIT = 10**5
 UNIVERSE_LIMIT = 10**4
 
 
@@ -69,25 +74,6 @@ def copy_count(k: int, m: int) -> int:
     return math.prod(math.comb(fib(k + s), fib(s)) for s in range(1, m + 1))
 
 
-def enumerate_copies(
-    k: int, r: int, m: int, unsafe_limits: bool = False
-) -> List[CopySpec]:
-    """All copies rooted at (r, k), ordered lexicographically by chosen subsets."""
-    _validate(k, r, m)
-    # Guard incrementally: the running product crosses the limit long before
-    # any individual binomial factor gets expensive to evaluate.
-    running = 1
-    for s in range(1, m + 1):
-        running *= math.comb(fib(k + s), fib(s))
-        ensure_within("candidate copy count", running, CANDIDATE_LIMIT, unsafe_limits)
-    per_level = [
-        sorted(combinations(range(1, fib(k + s) + 1), fib(s)))
-        for s in range(1, m + 1)
-    ]
-    root = VertexCoord(r, k)
-    return [CopySpec(root, chosen) for chosen in product(*per_level)]
-
-
 def no_cover_reason(k: int, m: int) -> Optional[str]:
     """Why no height-m tiling above a level-k root exists, naming the largest
     s <= m with F_s not dividing F_{k+s}; None when a tiling exists."""
@@ -95,29 +81,6 @@ def no_cover_reason(k: int, m: int) -> Optional[str]:
         if fib(k + s) % fib(s):
             return f"F_{s} does not divide F_{k + s}"
     return None
-
-
-def chains_of_copy(c: CopySpec) -> frozenset:
-    """Maximal chains of a copy: the product of its chosen position subsets."""
-    return frozenset(product(*c.chosen))
-
-
-def chain_universe(k: int, m: int) -> List[ChainTuple]:
-    """All maximal chains from a level-k root to level k+m, lexicographic."""
-    return sorted(product(*(range(1, fib(k + s) + 1) for s in range(1, m + 1))))
-
-
-def ratio_identity(n: int, k: int) -> bool:
-    """Chain-count bookkeeping behind the copy count.
-
-    The maximal chains above a level-k vertex up to level n, in number
-    F-factorial(n)/F-factorial(k), split into fibonomial(n, k) families of
-    F-factorial(n-k) chains each.
-    """
-    if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got ({n}, {k})")
-    lhs = exact_div(f_factorial(n), f_factorial(k))
-    return lhs == fibonomial(n, k) * f_factorial(n - k)
 
 
 def _reason_after_guards(k: int, r: int, m: int, unsafe_limits: bool) -> Optional[str]:
@@ -203,17 +166,3 @@ def verify_tiling(t: TilingSolution) -> bool:
     if len(chains) != len(copies) * math.prod(sizes):
         return False
     return len(chains) == f_falling(k + m, m) and t.assignment == chains
-
-
-def recurrence_decomposition_check(n: int, k: int) -> bool:
-    """Arithmetic of the two-class split of the copy count, both forms,
-    plus the symmetry rewrite of the second class."""
-    if not 0 < k <= n:
-        raise ValueError(f"need 0 < k <= n, got ({n}, {k})")
-    target = fibonomial(n + 1, k)
-    form_a = fib(k - 1) * fibonomial(n, k) + fib(n - k + 2) * fibonomial(n, k - 1)
-    form_b = fib(k + 1) * fibonomial(n, k) + fib(n - k) * fibonomial(n, k - 1)
-    rewrite = fib(n - k) * fibonomial(n, k - 1) == fib(n - k) * fibonomial(
-        n, n - k + 1
-    )
-    return target == form_a and target == form_b and rewrite

@@ -14,6 +14,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import cobweb, exactcover, fence, gvpaths, tiling, weighted
+from .guards import ensure_within
 from .seqcore import (
     f_factorial,
     f_falling,
@@ -24,6 +25,7 @@ from .seqcore import (
 )
 
 TILING_INSTANCES = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
+CANDIDATE_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ def check_fibonomial_symmetry(max_n: int = 40) -> CheckResult:
     return _result("fibonomial symmetry", None, f"n <= {max_n}")
 
 
-def check_fibonomial_recurrences(max_n: int = 30) -> CheckResult:
+def check_fibonomial_recurrences(max_n: int = 31) -> CheckResult:
     for n in range(max_n + 1):
         for k in range(n + 1):
             want = fibonomial(n, k)
@@ -291,44 +293,42 @@ def check_chain_counts(max_level: int = 5) -> CheckResult:
 # -------------------------------------------------------------------- tiling
 
 
-def check_copy_enumeration(pairs=((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))) -> CheckResult:
-    for k, m in pairs:
-        want = tiling.copy_count(k, m)
-        for r in range(1, fib(k) + 1):
-            copies = tiling.enumerate_copies(k, r, m)
-            if len(copies) != want:
-                return _result("copy enumeration count", f"(k, r, m) = ({k}, {r}, {m})")
-            per_copy = f_factorial(m)
-            for c in copies[:50]:
-                if len(tiling.chains_of_copy(c)) != per_copy:
-                    return _result("chains per copy", f"(k, r, m) = ({k}, {r}, {m})")
-    return _result("copy enumeration counts", None, f"pairs {pairs}")
-
-
-def check_ratio_identity(max_n: int = 40) -> CheckResult:
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            if not tiling.ratio_identity(n, k):
-                return _result("chain ratio identity", f"(n, k) = ({n}, {k})")
-    return _result("chain ratio identity", None, f"n <= {max_n}")
-
-
-def check_recurrence_decomposition(max_n: int = 30) -> CheckResult:
-    for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            if not tiling.recurrence_decomposition_check(n, k):
-                return _result("two-class recurrence split", f"(n, k) = ({n}, {k})")
-    return _result("two-class recurrence split", None, f"n <= {max_n}")
-
-
 def _box_grid(sizes, sides):
     """The grid [1..n_1] x ... x [1..n_m], the boxes A_1 x ... x A_m in it
-    with |A_i| = sides[i], each as its tuple (A_1, ..., A_m), and their cells."""
+    with |A_i| = sides[i], each as its tuple (A_1, ..., A_m) in lexicographic
+    order, and their cells. Guarded incrementally on the number of boxes: the
+    running product crosses the limit long before any factor gets expensive."""
+    count = 1
+    for n, a in zip(sizes, sides):
+        count *= math.comb(n, a)
+        ensure_within("candidate copy count", count, CANDIDATE_LIMIT)
     boxes = list(
         product(*(combinations(range(1, n + 1), a) for n, a in zip(sizes, sides)))
     )
     grid = product(*(range(1, n + 1) for n in sizes))
     return grid, boxes, [frozenset(product(*box)) for box in boxes]
+
+
+def _copy_shape(k: int, m: int):
+    """Level sizes F_{k+1}..F_{k+m} and subset sizes F_1..F_m: the box grid
+    whose boxes are the height-m copies above a level-k root."""
+    levels = range(1, m + 1)
+    return [fib(k + s) for s in levels], [fib(s) for s in levels]
+
+
+def check_copy_enumeration(
+    pairs=((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
+) -> CheckResult:
+    """The box grid of each (k, m): copy_count(k, m) copies of f_factorial(m)
+    chains each."""
+    name = "copy enumeration counts"
+    for k, m in pairs:
+        _, boxes, cells = _box_grid(*_copy_shape(k, m))
+        if len(boxes) != tiling.copy_count(k, m):
+            return _result(name, f"(k, m) = ({k}, {m}) copy count")
+        if any(len(chains) != f_factorial(m) for chains in cells):
+            return _result(name, f"(k, m) = ({k}, {m}) chains per copy")
+    return _result(name, None, f"pairs {pairs}")
 
 
 def _first_box_cover(sizes, sides) -> Optional[list]:
@@ -349,8 +349,7 @@ def check_divisibility_rule(
     4x4 grid but not a 3x4 grid, although 2 | 4."""
     name = "tiling construction vs exact-cover search"
     for k, m in instances:
-        levels = range(1, m + 1)
-        cover = _first_box_cover([fib(k + s) for s in levels], [fib(s) for s in levels])
+        cover = _first_box_cover(*_copy_shape(k, m))
         if (cover is None) != (tiling.no_cover_reason(k, m) is not None):
             return _result(name, f"(k, m) = ({k}, {m}) divisibility rule")
         solution = tiling.find_tiling(k, 1, m)
@@ -393,6 +392,52 @@ def check_tiling_instances(
     if absent:
         detail += f"; no cover exists: {', '.join(absent)}"
     return CheckResult("tiling construction on contract instances", True, detail)
+
+
+def _tiled_instances():
+    """(k, m, find_tiling(k, 1, m)) for each (k, m) with m >= 2 that it tiles
+    under its default guard on f_falling(k + m, m), which grows with k and m."""
+    m = 2
+    while f_falling(m + 1, m) <= tiling.UNIVERSE_LIMIT:
+        k = 1
+        while f_falling(k + m, m) <= tiling.UNIVERSE_LIMIT:
+            t = tiling.find_tiling(k, 1, m)
+            if t is not None:
+                yield k, m, t
+            k += 1
+        m += 1
+
+
+def check_recurrence_split() -> CheckResult:
+    """The Fibonomial recurrence read off each tiling from _tiled_instances.
+    F_{k+m} = F_{m+1}F_k + F_m F_{k-1}: cut the top level k+m after position
+    F_{m+1}F_k. No top subset straddles the cut, F_{m+1} (k+m-1 m)_F copies
+    lie below it and F_{k-1} (k+m-1 m-1)_F above it, and the lower levels of
+    those above are the (k, m-1) tiling's copies in order, each F_{k-1}
+    times: variant B at n = k+m. The cut after F_{k+1}F_m leaves F_{k+1} (k+m-1 m-1)_F
+    copies below and F_{m-1} (k+m-1 m)_F above: variant A."""
+    name = "Fibonomial recurrence split of the tiling"
+    checked = []
+    for k, m, t in _tiled_instances():
+        where = f"(k, m) = ({k}, {m})"
+        upper, lower = fibonomial(k + m - 1, m), fibonomial(k + m - 1, m - 1)
+        tops = [c.chosen[-1] for c in t.copies]
+        cut_b = fib(m + 1) * fib(k)
+        for variant, cut, sizes in (
+            ("B", cut_b, [fib(m + 1) * upper, fib(k - 1) * lower]),
+            ("A", fib(k + 1) * fib(m), [fib(k + 1) * lower, fib(m - 1) * upper]),
+        ):
+            if any(min(top) <= cut < max(top) for top in tops):
+                return _result(name, f"{where} a top subset straddles the cut at {cut}")
+            below = sum(max(top) <= cut for top in tops)
+            if [below, len(tops) - below] != sizes:
+                return _result(name, f"{where} variant {variant} class sizes")
+        above = [c.chosen[:-1] for c in t.copies if min(c.chosen[-1]) > cut_b]
+        lower_copies = tiling.find_tiling(k, 1, m - 1).copies
+        if above != [c.chosen for c in lower_copies for _ in range(fib(k - 1))]:
+            return _result(name, f"{where} variant B second class below the top level")
+        checked.append(f"({k},{m})")
+    return _result(name, None, f"variants A and B at {', '.join(checked)}")
 
 
 # Tamperings of a tiling t, each a function (t, i, j, s, p) of two copy
@@ -532,9 +577,8 @@ def check_tiling_counts(
     for k, m in product(range(1, 8), range(1, 5)):
         if f_falling(k + m, m) > 30:
             continue
-        families = [tiling.chains_of_copy(c) for c in tiling.enumerate_copies(k, 1, m)]
-        want = exactcover.count_covers(tiling.chain_universe(k, m), families)
-        if tiling.count_all_tilings(k, 1, m) != want:
+        grid, _, cells = _box_grid(*_copy_shape(k, m))
+        if tiling.count_all_tilings(k, 1, m) != exactcover.count_covers(grid, cells):
             return _result(name, f"(k, m) = ({k}, {m})")
     for a, b, c in grids:
         grid, _, cells = _box_grid((a, b, c), (1, 1, 2))
@@ -642,10 +686,9 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
     ),
     "tiling": (
         check_copy_enumeration,
-        check_ratio_identity,
-        check_recurrence_decomposition,
         check_divisibility_rule,
         check_tiling_instances,
+        check_recurrence_split,
         check_tiling_rejections,
         check_tiling_counts,
     ),

@@ -42,6 +42,14 @@ def test_fibonomial_triangle(capsys):
     assert out.splitlines() == ["1", "1 1", "1 1 1", "1 2 2 1", "1 3 6 3 1"]
 
 
+@pytest.mark.parametrize("indices", [("5",), ("5", "2")])
+def test_fibonomial_triangle_with_indices(capsys, indices):
+    code, out, err = run(capsys, "fibonomial", *indices, "--triangle", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: fibonomial takes either N (with optional K) or --triangle ROWS\n"
+
+
 def test_fibonomial_row(capsys):
     code, out, _ = run(capsys, "fibonomial", "4")
     assert code == 0
@@ -288,6 +296,19 @@ def test_konvalina_bad_preset(capsys):
     code, _, err = run(capsys, "konvalina", "first", "2", "--preset", "geometric")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "preset", ["arithmetic:5:3", "ones:4:2", "geometric:3:2:9", "ones:", "arithmetic"]
+)
+def test_konvalina_preset_with_wrong_fields(capsys, preset):
+    code, out, err = run(capsys, "konvalina", "first", "2", "--preset", preset)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: bad --preset value: {preset!r};"
+        " use ones:N, arithmetic:N or geometric:N:Q\n"
+    )
 
 
 def test_fence_value(capsys):

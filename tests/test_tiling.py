@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
+from itertools import product
 from typing import Dict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibcobweb import exactcover, tiling, verify
+from fibcobweb import tiling, verify
 from fibcobweb.cobweb import VertexCoord
 from fibcobweb.guards import GuardExceeded
 from fibcobweb.seqcore import f_factorial, f_falling, fib, fibonomial
@@ -14,86 +15,72 @@ from fibcobweb.tiling import (
     ChainTuple,
     CopySpec,
     TilingSolution,
-    chain_universe,
-    chains_of_copy,
     copy_count,
     count_all_tilings,
-    enumerate_copies,
     find_tiling,
     no_cover_reason,
-    ratio_identity,
-    recurrence_decomposition_check,
     verify_tiling,
 )
 
 
+def _copies(k, m):
+    """The box grid of the height-m copies above a level-k root: its grid,
+    its boxes (the copies' chosen subsets) and their cells (the chains)."""
+    return verify._box_grid(*verify._copy_shape(k, m))
+
+
 def test_enumerate_copies_counts():
-    assert len(enumerate_copies(1, 1, 2)) == 2
-    assert len(enumerate_copies(2, 1, 3)) == 60
-    assert len(enumerate_copies(1, 1, 1)) == 1
+    assert len(_copies(1, 2)[1]) == 2
+    assert len(_copies(2, 3)[1]) == 60
+    assert len(_copies(1, 1)[1]) == 1
 
 
 def test_copy_count_formula():
     for k, m in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
         want = math.prod(math.comb(fib(k + s), fib(s)) for s in range(1, m + 1))
         assert copy_count(k, m) == want
-        for r in range(1, fib(k) + 1):
-            assert len(enumerate_copies(k, r, m)) == want
-
-
-def test_enumerate_copies_validation():
-    with pytest.raises(ValueError):
-        enumerate_copies(0, 1, 2)
-    with pytest.raises(ValueError):
-        enumerate_copies(3, 3, 2)  # level 3 has 2 positions
-    with pytest.raises(ValueError):
-        enumerate_copies(2, 1, 0)
+        assert len(_copies(k, m)[1]) == want
 
 
 def test_enumerate_copies_guard():
+    def guarded():
+        return verify.check_copy_enumeration(((6, 3),))  # 13 * 21 * C(34, 2) copies
+
+    result = verify._run_check(guarded)
+    assert not result.passed
+    assert result.detail == (
+        "raised GuardExceeded: candidate copy count = 153153 exceeds guard limit 100000"
+    )
     with pytest.raises(GuardExceeded):
-        enumerate_copies(6, 1, 3)  # 13 * 21 * C(34, 2) candidates
+        _copies(6, 3)
 
 
 def test_copy_structure():
-    copies = enumerate_copies(2, 1, 3)
-    for c in copies:
-        assert c.root == VertexCoord(1, 2)
-        assert [len(s) for s in c.chosen] == [fib(1), fib(2), fib(3)]
-    assert copies == sorted(copies, key=lambda c: c.chosen)
+    boxes = _copies(2, 3)[1]
+    for chosen in boxes:
+        assert [len(s) for s in chosen] == [fib(1), fib(2), fib(3)]
+    assert boxes == sorted(boxes)
 
 
 @pytest.mark.parametrize("m,expected", [(2, 1), (3, 2), (4, 6)])
 def test_chains_per_copy(m, expected):
-    c = enumerate_copies(1, 1, m)[0]
-    assert len(chains_of_copy(c)) == expected
+    _, boxes, cells = _copies(1, m)
+    assert cells[0] == frozenset(product(*boxes[0]))
+    assert len(cells[0]) == expected
     assert expected == f_factorial(m)
 
 
 def test_chain_universe():
-    u = chain_universe(2, 3)
+    u = list(_copies(2, 3)[0])
     assert len(u) == 30
     assert u == sorted(u)
     assert u[0] == (1, 1, 1)
     assert u[-1] == (2, 3, 5)
 
 
-def test_ratio_identity_examples():
-    assert ratio_identity(5, 2)
-    assert ratio_identity(7, 7)
-    assert ratio_identity(10, 5)
-    for n in range(1, 21):
-        for k in range(1, n + 1):
-            assert ratio_identity(n, k)
-    with pytest.raises(ValueError):
-        ratio_identity(5, 0)
-    with pytest.raises(ValueError):
-        ratio_identity(3, 4)
-
-
 FEASIBLE = [
     (1, 1, 1), (1, 1, 2), (2, 1, 2), (3, 1, 2), (3, 2, 2), (3, 1, 3),
-    (6, 1, 3),  # 153153 candidate copies, more than enumerate_copies allows
+    (6, 1, 3),  # 153153 candidate copies, more than the verify box grid allows
 ]
 COVERLESS = [(1, 1, 3), (2, 1, 3), (2, 1, 4), (4, 1, 3), (1, 1, 5)]
 
@@ -169,11 +156,10 @@ def test_no_cover_below_the_top_level_answers_without_search():
 )
 def test_divisibility_rule_matches_direct_search(k, r, m):
     # the exhaustive search, not through find_tiling; (2, 1, 4) takes ~1 s
-    copies = enumerate_copies(k, r, m)
-    rows = exactcover.solve_first(chain_universe(k, m), [chains_of_copy(c) for c in copies])
-    assert (rows is None) == (no_cover_reason(k, m) is not None)
-    if rows is not None:
-        assert find_tiling(k, r, m).copies == tuple(copies[i] for i in rows)
+    cover = verify._first_box_cover(*verify._copy_shape(k, m))
+    assert (cover is None) == (no_cover_reason(k, m) is not None)
+    if cover is not None:
+        assert [c.chosen for c in find_tiling(k, r, m).copies] == cover
 
 
 def test_find_tiling_deterministic():
@@ -262,7 +248,7 @@ def _verify_tiling_per_copy(t: TilingSolution) -> bool:
                 return False
             if not all(1 <= pos <= fib(k + s) for pos in subset):
                 return False
-        for chain in chains_of_copy(c):
+        for chain in product(*c.chosen):
             if chain in seen:
                 return False
             seen[chain] = idx
@@ -339,18 +325,3 @@ def test_count_all_tilings_above_height_three_has_no_closed_form():
     with pytest.raises(GuardExceeded):
         count_all_tilings(12, 1, 4)
 
-
-def test_recurrence_decomposition_examples():
-    assert recurrence_decomposition_check(5, 2)
-    assert fibonomial(6, 2) == 40
-    assert fib(3) * fibonomial(5, 2) + fib(3) * fibonomial(5, 1) == 40
-    assert fib(1) * fibonomial(5, 2) + fib(5) * fibonomial(5, 1) == 40
-    assert recurrence_decomposition_check(1, 1)
-    for n in range(1, 16):
-        for k in range(1, n + 1):
-            assert recurrence_decomposition_check(n, k)
-        assert fibonomial(n + 1, n) == fib(n + 1)
-    with pytest.raises(ValueError):
-        recurrence_decomposition_check(4, 0)
-    with pytest.raises(ValueError):
-        recurrence_decomposition_check(4, 5)

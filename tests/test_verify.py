@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -92,6 +93,7 @@ def test_tiling_rejection_check_fails_without_the_disjointness_test(monkeypatch)
         # verify_tiling's other tests: shared root, F_s distinct positions in
         # range at each level, every chain covered, the implied assignment
         k, m = t.root.s, t.height
+        universe = sorted(product(*(range(1, fib(k + s) + 1) for s in range(1, m + 1))))
         chains = {chain: idx for idx, c in enumerate(t.copies) for chain in product(*c.chosen)}
         well_formed = all(
             c.root == t.root
@@ -101,7 +103,7 @@ def test_tiling_rejection_check_fails_without_the_disjointness_test(monkeypatch)
         )
         return (
             well_formed
-            and sorted(chains) == tiling.chain_universe(k, m)
+            and sorted(chains) == universe
             and t.assignment == chains
         )
 
@@ -109,6 +111,78 @@ def test_tiling_rejection_check_fails_without_the_disjointness_test(monkeypatch)
     result = verify.check_tiling_rejections()
     assert not result.passed
     assert result.detail == "counterexample: (k, m) = (1, 1) accepted: duplicate a copy"
+
+
+def test_recurrence_split_check_passes():
+    result = verify.check_recurrence_split()
+    assert result.passed, result.detail
+    instances = [f"({k},2)" for k in range(1, 10)] + ["(3,3)", "(6,3)"]
+    assert result.detail == f"variants A and B at {', '.join(instances)}"
+
+
+@pytest.mark.parametrize(
+    "wrong,where",
+    [
+        # the (k+m-1 m)_F of (5, 2)
+        ((6, 2), "(5, 2) variant B"),
+        # the (k+m-1 m-1)_F of (1, 2), which variant B weighs by F_0 = 0
+        ((2, 1), "(1, 2) variant A"),
+    ],
+)
+def test_recurrence_split_check_fails_on_a_wrong_fibonomial(monkeypatch, wrong, where):
+    fibonomial = verify.fibonomial
+
+    def off_by_one(n, k):
+        return fibonomial(n, k) + ((n, k) == wrong)
+
+    monkeypatch.setattr(verify, "fibonomial", off_by_one)
+    result = verify.check_recurrence_split()
+    assert not result.passed
+    assert result.detail == f"counterexample: (k, m) = {where} class sizes"
+
+
+def test_recurrence_split_check_fails_on_straddling_top_subsets(monkeypatch):
+    find_tiling = tiling.find_tiling
+
+    def interleaved(k, r, m):
+        # the top pairs (1, 2), (3, 4), (5, 6), (7, 8) of (3, 3) become {1, 3},
+        # {2, 4}, {5, 7}, {6, 8}: still a cover of the top level, but the cut
+        # at F_4 F_3 = 6 splits {5, 7}
+        t = find_tiling(k, r, m)
+        if (k, m) != (3, 3):
+            return t
+
+        def pair(top):
+            a = top[0]
+            return (a, a + 2) if a % 4 == 1 else (a - 1, a + 1)
+
+        return replace(t, copies=tuple(
+            tiling.CopySpec(c.root, c.chosen[:-1] + (pair(c.chosen[-1]),)) for c in t.copies
+        ))
+
+    monkeypatch.setattr(tiling, "find_tiling", interleaved)
+    result = verify.check_recurrence_split()
+    assert not result.passed
+    assert result.detail == (
+        "counterexample: (k, m) = (3, 3) a top subset straddles the cut at 6"
+    )
+
+
+def test_recurrence_split_check_fails_on_reordered_lower_levels(monkeypatch):
+    find_tiling = tiling.find_tiling
+
+    def reversed_above_height_one(k, r, m):
+        # the same copies, so the classes keep their sizes, but the second
+        # class no longer runs through the (k, m-1) tiling in order
+        t = find_tiling(k, r, m)
+        return t if t is None or m < 2 else replace(t, copies=t.copies[::-1])
+
+    monkeypatch.setattr(tiling, "find_tiling", reversed_above_height_one)
+    result = verify.check_recurrence_split()
+    assert not result.passed
+    assert result.detail == (
+        "counterexample: (k, m) = (2, 2) variant B second class below the top level"
+    )
 
 
 def test_stirling_helpers():
