@@ -323,7 +323,7 @@ def enumerate_max_chains(
         [VertexCoord(j, s) for j in range(1, p.level_sizes[s - 1] + 1)]
         for s in range(v.s + 1, n + 1)
     ]
-    return [(v, *rest) for rest in product(*upper)]
+    return list(product((v,), *upper))
 
 
 def count_all_chains(p: CobwebPoset, x: int, y: int) -> int:

@@ -8,12 +8,14 @@ counterexample on failure. The CLI surfaces these as `verify --suite NAME`.
 from __future__ import annotations
 
 import math
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement, product
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import cobweb, exactcover, fence, gvpaths, tiling, weighted
+from . import cli, cobweb, exactcover, fence, gvpaths, tiling, weighted
 from .guards import ensure_within
 from .seqcore import (
     f_factorial,
@@ -104,6 +106,45 @@ def check_q_binomial_coefficients(max_n: int = 12) -> CheckResult:
                     "q-binomial coefficient sum", f"(n, k) = ({n}, {k})"
                 )
     return _result("q-binomial coefficient nonnegativity and sum", None, f"n <= {max_n}")
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift CPython's limit on the digits of int <-> str conversions (3.10.7+)
+    for the duration, as the CLI does for good."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def check_decimal_strings(max_bits: int = 600) -> CheckResult:
+    """The CLI's decimal_str against str(). Its recursive route, at any size,
+    on 2^w - 1, 2^w, 2^w + 1 and 2^w +- 2^(w // 2) (a one bit at the first
+    split) for every w <= max_bits, which straddles the 128-bit leaves and
+    three levels of split points; then decimal_str itself on both sides
+    of the crossover cli.DECIMAL_STR_BITS, in bits and in digits. 0 and
+    each value's negative too."""
+    name = "long decimal strings vs str()"
+    small = [0]
+    for w in range(max_bits + 1):
+        small += [(1 << w) + d for d in (-1, 0, 1, 1 << w // 2, -(1 << w // 2))]
+    top = cli.DECIMAL_STR_BITS
+    d = math.ceil(top * math.log10(2))  # 10^(d - 1) < 2^top < 10^d
+    large = [(1 << top) - 1, 1 << top, 10 ** (d - 1), 10**d - 1, 10**d]
+    with unlimited_int_str():
+        for route, values in ((cli._decimal_digits, small), (cli.decimal_str, large)):
+            for n in (v for value in values for v in (value, -value)):
+                if route(n) != str(n):
+                    where = f"{route.__name__} of a {n.bit_length()}-bit n"
+                    return _result(name, f"{where} = {n % 1000} mod 1000")
+    detail = f"{2 * len(small)} values up to {max_bits + 1} bits, {2 * len(large)} near {top}"
+    return _result(name, None, detail)
 
 
 def _weight_vectors(max_len: int, entries: Tuple[int, ...]):
@@ -639,6 +680,32 @@ def check_fence_oracle(max_m: int = 15) -> CheckResult:
     return _result("fence ideals vs brute force", None, f"m <= {max_m}")
 
 
+def linear_ideal_counts(max_m: int):
+    """Ideal counts of the fences with m = 0..max_m elements, in order, by one
+    UP or DOWN step per cover on the counts (excluded, included): the plain
+    transfer loop that count_ideals's symmetric powering replaces."""
+    yield 1
+    out = inc = 1
+    for i in range(1, max_m + 1):
+        yield out + inc
+        (a, b), (c, d) = fence.UP if i % 2 else fence.DOWN
+        out, inc = a * out + b * inc, c * out + d * inc
+
+
+def check_fence_transfer(max_m: int = 20001, every: int = 500) -> CheckResult:
+    """count_ideals against the step-by-step transfer loop at every m <= every,
+    at 2^j - 1, 2^j and 2^j + 1 (both parities, each bit pattern's ends) and
+    at max_m - 1 and max_m."""
+    name = "fence ideals vs step-by-step transfer"
+    points = {max_m - 1, max_m}
+    for j in range(max_m.bit_length()):
+        points.update(((1 << j) - 1, 1 << j, (1 << j) + 1))
+    for m, want in enumerate(linear_ideal_counts(max_m)):
+        if (m <= every or m in points) and fence.count_ideals(m) != want:
+            return _result(name, f"m = {m}")
+    return _result(name, None, f"m <= {every}, near powers of two and m = {max_m}")
+
+
 def check_fence_fibonacci(max_m: int = 30) -> CheckResult:
     for m in range(max_m + 1):
         if fence.count_ideals(m) != fib(m + 2):
@@ -676,6 +743,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
         check_konvalina_binomial_preset,
         check_konvalina_stirling_presets,
         check_konvalina_gaussian_preset,
+        check_decimal_strings,
     ),
     "poset": (
         check_zeta_equivalence,
@@ -699,6 +767,7 @@ SUITES: Dict[str, Tuple[Check, ...]] = {
     ),
     "fence": (
         check_fence_oracle,
+        check_fence_transfer,
         check_fence_fibonacci,
         check_fence_duality,
         check_beck_identities,

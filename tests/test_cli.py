@@ -1,14 +1,18 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibcobweb import verify
-from fibcobweb.cli import main
+from fibcobweb.cli import _decimal_digits, decimal_str, main
+from fibcobweb.fence import count_ideals
 from fibcobweb.gvpaths import SUM_LIMIT
 from fibcobweb.seqcore import fibonomial
-from fibcobweb.verify import CheckResult
+from fibcobweb.verify import CheckResult, unlimited_int_str
 
 
 def run(capsys, *argv):
@@ -315,6 +319,45 @@ def test_fence_value(capsys):
     code, out, _ = run(capsys, "fence", "10")
     assert code == 0
     assert out == "144\n"
+
+
+def test_fence_long_value_in_every_format(capsys):
+    with unlimited_int_str():
+        want = str(count_ideals(300000))
+    for fmt in ("text", "csv"):
+        code, out, _ = run(capsys, "fence", "300000", "--format", fmt)
+        assert (code, out) == (0, want + "\n")
+    code, out, _ = run(capsys, "fence", "300000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == want
+
+
+@st.composite
+def _long_ints(draw, max_bits):
+    """Up to max_bits bits: random, or next to a power of two or of ten."""
+    bits = draw(st.integers(0, max_bits))
+    kind = draw(st.sampled_from(("random", "two", "ten")))
+    if kind == "random":
+        n = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+    elif kind == "two":
+        n = 1 << bits
+    else:
+        n = 10 ** (bits * 3 // 10)
+    n += draw(st.integers(-2, 2))
+    return -n if draw(st.booleans()) else n
+
+
+@settings(max_examples=30, deadline=None)
+@given(_long_ints(332_193))  # 10^5 digits
+def test_decimal_str_is_str(n):
+    with unlimited_int_str():
+        assert decimal_str(n) == str(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_ints(4096))
+def test_recursive_decimal_digits_are_str_at_any_size(n):
+    assert _decimal_digits(n) == str(n)
 
 
 def test_hasse_dot(capsys):

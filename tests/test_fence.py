@@ -9,6 +9,7 @@ from fibcobweb.fence import (
 )
 from fibcobweb.guards import GuardExceeded
 from fibcobweb.seqcore import fib
+from fibcobweb.verify import linear_ideal_counts
 
 
 def test_fence_covers():
@@ -55,23 +56,11 @@ def test_transfer_matches_oracle():
         assert count_ideals(m) == count_ideals_oracle(m)
 
 
-def _count_ideals_linear(m):
-    """One transfer step per cover, on the counts (excluded, included)."""
-    if m == 0:
-        return 1
-    out, inc = 1, 1
-    for i in range(1, m):
-        if i % 2 == 1:
-            out, inc = out + inc, inc
-        else:
-            out, inc = out, out + inc
-    return out + inc
-
-
 def test_matrix_power_matches_linear_transfer():
-    for m in range(2001):
-        assert count_ideals(m) == _count_ideals_linear(m)
-    assert count_ideals(40000) == _count_ideals_linear(40000)
+    for m, want in enumerate(linear_ideal_counts(2000)):
+        assert count_ideals(m) == want
+    *_, even, odd = linear_ideal_counts(40001)
+    assert (count_ideals(40000), count_ideals(40001)) == (even, odd)
 
 
 def test_ideal_count_is_fibonacci():
