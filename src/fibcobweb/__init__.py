@@ -30,7 +30,7 @@ _EXPORTS = {
         "zeta_explicit",
         "zeta_from_order",
     ),
-    "fence": ("FencePoset", "beck_identities", "count_ideals", "count_ideals_oracle"),
+    "fence": ("FencePoset", "beck_identities", "count_ideals"),
     "guards": ("GuardExceeded",),
     "gvpaths": ("binomial", "fibonomial_via_paths", "n_of_r"),
     "seqcore": (
@@ -58,7 +58,7 @@ _EXPORTS = {
     ),
 }
 _NAMES = frozenset(name for names in _EXPORTS.values() for name in names)
-_SUBMODULES = frozenset({*_EXPORTS, "cli", "exactcover", "verify"})
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "verify"})
 
 __all__ = ["__version__", *sorted(_NAMES)]
 

@@ -20,6 +20,8 @@ from .guards import GuardExceeded, ensure_within
 
 TEXT_MATRIX_LIMIT = 12
 HASSE_LIMIT = 10
+# `chains 1 N` takes about 1 s at N = 2500: the count has about 0.35 N^2 bits.
+CHAINS_LIMIT = 2500
 # verify.SUITE_NAMES, spelled out so that building the parser does not load
 # every layer; tests/test_verify.py pins the two equal.
 VERIFY_SUITES = ("arith", "poset", "tiling", "paths", "fence", "all")
@@ -311,6 +313,7 @@ def _cmd_mobius(args, out: _Output) -> int:
 def _cmd_chains(args, out: _Output) -> int:
     from . import cobweb
 
+    ensure_within("chains target level", args.n, CHAINS_LIMIT, args.unsafe_limits)
     poset = cobweb.build(max(args.n, args.k, 1))
     start = cobweb.VertexCoord(1, args.k)
     if args.enumerate:

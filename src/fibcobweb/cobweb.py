@@ -14,8 +14,8 @@ order-indicator matrix, applying the comparability predicate once per pair
 of levels, and the Mobius matrix from these level values; chain counts are
 read off the level formula. The explicit Kronecker-delta expansion builds
 the order-indicator matrix without the level layout: it is the independent
-route `verify` compares the first with. `verify` also checks
-zeta * mobius == identity and a brute-force chain count.
+route `verify` compares the first with. The dense product that checks
+zeta * mobius == identity and the brute-force chain count live in `verify`.
 """
 
 from __future__ import annotations
@@ -171,32 +171,6 @@ class IncMatrix:
     def __repr__(self) -> str:
         return f"IncMatrix(dim={self.dim})"
 
-    @classmethod
-    def identity(cls, dim: int) -> "IncMatrix":
-        return cls._of_rows(
-            tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-        )
-
-    def __mul__(self, other: "IncMatrix") -> "IncMatrix":
-        if not isinstance(other, IncMatrix):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        n = self.dim
-        brows = other.rows
-        out = []
-        for arow in self.rows:
-            acc = [0] * n
-            for t, a in enumerate(arow):
-                if a == 0:
-                    continue
-                brow = brows[t]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] += a * b
-            out.append(acc)
-        return IncMatrix._of_rows(out)
-
     def first_difference(self, other: "IncMatrix") -> Optional[Tuple[int, int]]:
         """First (row, col) where the matrices disagree, 1-based; None if equal."""
         if other.dim != self.dim:
@@ -244,15 +218,15 @@ def _zeta_explicit(max_level: int) -> IncMatrix:
     # truncated at the matrix dimension; all deltas vanish beyond it).
     rows = [[0] * (x - 1) + [1] * (n - x + 1) for x in range(1, n + 1)]
     # Subtracted summand: for x = F_{s+1} + k it clears the k-th vertex's
-    # remaining same-level entries y = x + r, 1 <= r <= F_s - k - 1.
+    # remaining same-level entries y = x + r, 1 <= r <= F_s - k - 1, that is
+    # the 0-based columns x .. F_{s+1} + F_s - 2. Only the first F_s - 1
+    # vertices of level s have any.
     for s in range(1, max_level + 1):
         start, size = fib(s + 1), fib(s)
-        for x in range(start, n + 1):
-            k = x - start
-            for r in range(1, size - k):
-                y = x + r
-                if y <= n:
-                    rows[x - 1][y - 1] -= 1
+        end = start + size - 1
+        for x in range(start, end):
+            row = rows[x - 1]
+            row[x:end] = [v - 1 for v in row[x:end]]
     return IncMatrix._of_rows(rows)
 
 

@@ -5,18 +5,15 @@ number of down-closed subsets is the Fibonacci number F_{m+2} under this
 package's indexing (calibrated by direct enumeration at m = 1, 2, 3).
 `count_ideals` counts them from the fence's own 2x2 transfer matrices: the
 power of the two-step matrix is symmetric, so two entries carry it through
-binary powering. One UP or DOWN step per cover (`verify`) and brute force
-over all subsets are the oracles.
+binary powering. The oracles live in `verify`: one UP or DOWN step per
+cover, and brute force over all subsets for ideals and filters.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .guards import ensure_within
 from .seqcore import fib
-
-ORACLE_LIMIT = 20
 
 
 class FencePoset:
@@ -82,37 +79,6 @@ def count_ideals(m: int) -> int:
             a += b  # S^(p+1) = S^p.S = ((a + b, a + 2b), ...)
             b += a
     return 3 * a + 5 * b if odd else 2 * a + 3 * b
-
-
-def _count_closed(m: int, up_closed: bool, unsafe_limits: bool) -> int:
-    ensure_within("fence oracle size", m, ORACLE_LIMIT, unsafe_limits)
-    covers = FencePoset(m).covers
-    count = 0
-    for mask in range(1 << m):
-        ok = True
-        for lo, hi in covers:
-            lo_in = mask >> (lo - 1) & 1
-            hi_in = mask >> (hi - 1) & 1
-            if up_closed:
-                if lo_in and not hi_in:
-                    ok = False
-                    break
-            elif hi_in and not lo_in:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def count_ideals_oracle(m: int, unsafe_limits: bool = False) -> int:
-    """Brute force over all 2^m subsets, counting the down-closed ones."""
-    return _count_closed(m, up_closed=False, unsafe_limits=unsafe_limits)
-
-
-def count_filters_oracle(m: int, unsafe_limits: bool = False) -> int:
-    """Brute force over all 2^m subsets, counting the up-closed ones."""
-    return _count_closed(m, up_closed=True, unsafe_limits=unsafe_limits)
 
 
 def beck_identities(n: int, k: int) -> bool:

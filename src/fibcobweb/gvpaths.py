@@ -3,8 +3,8 @@
 For an index subset R = {r_1 < ... < r_k} of {0..n}, the determinant of the
 matrix with entries C(r_i, n - r_{k+1-j}) counts nonintersecting k-tuples of
 lattice paths; summed over all k-subsets it yields a Fibonomial coefficient.
-Single determinants are computed exactly with fraction-free elimination,
-with cofactor expansion kept as the small-size cross-check.
+Single determinants are computed exactly with fraction-free elimination;
+the cofactor expansion it is checked against lives in `verify`.
 
 The sum over all k-subsets is never formed term by term. Reversing the
 column order turns each path matrix into the principal submatrix M[R][R] of
@@ -93,25 +93,6 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> List[int]:
             for i in range(r + 2)
         ]
     return poly
-
-
-def det_cofactor(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant by first-row cofactor expansion (cross-check oracle)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for c, head in enumerate(matrix[0]):
-        if head == 0:
-            continue
-        minor = [
-            [row[j] for j in range(n) if j != c] for row in matrix[1:]
-        ]
-        term = head * det_cofactor(minor)
-        total += term if c % 2 == 0 else -term
-    return total
 
 
 def _validated(r: Sequence[int], n: int) -> Tuple[int, ...]:

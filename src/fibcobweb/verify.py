@@ -3,6 +3,11 @@
 Each check compares two independent computation routes (closed form vs
 recurrence, construction vs formula, search vs arithmetic, ...) and reports a
 counterexample on failure. The CLI surfaces these as `verify --suite NAME`.
+
+The routes that only these checks run live here, not in the layers every
+command loads: the dense matrix product, the box-grid copy enumeration and
+the exact-cover search over it, the cofactor determinant, and brute force
+over the subsets of a fence.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from . import cli, cobweb, exactcover, fence, gvpaths, tiling, weighted
+from . import cli, cobweb, fence, gvpaths, tiling, weighted
 from .guards import ensure_within
 from .seqcore import (
     f_factorial,
@@ -256,14 +261,31 @@ def check_zeta_equivalence(max_level: int = 10) -> CheckResult:
     return _result("zeta construction equivalence", None, f"N <= {max_level}")
 
 
+def _dense_product(a, b) -> List[List[int]]:
+    """Rows of the product of two square matrices of equal size, given as
+    rows, by the schoolbook sum that skips zero entries."""
+    out = []
+    for arow in a:
+        acc = [0] * len(b)
+        for t, x in enumerate(arow):
+            if x == 0:
+                continue
+            for j, y in enumerate(b[t]):
+                if y:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
 def check_mobius_inverse(max_level: int = 10) -> CheckResult:
+    """zeta * mobius and mobius * zeta, multiplied densely, against the
+    Kronecker delta entry by entry."""
     for level in range(1, max_level + 1):
         p = cobweb.build(level)
-        zeta = cobweb.zeta_from_order(p)
-        mob = cobweb.mobius(p)
-        ident = cobweb.IncMatrix.identity(zeta.dim)
-        if zeta * mob != ident or mob * zeta != ident:
-            return _result("mobius inverse", f"N = {level}")
+        zeta, mob = cobweb.zeta_from_order(p).rows, cobweb.mobius(p).rows
+        for rows in (_dense_product(zeta, mob), _dense_product(mob, zeta)):
+            if any(v != (x == y) for x, row in enumerate(rows) for y, v in enumerate(row)):
+                return _result("mobius inverse", f"N = {level}")
     return _result("mobius inverse", None, f"N <= {max_level}")
 
 
@@ -372,12 +394,72 @@ def check_copy_enumeration(
     return _result(name, None, f"pairs {pairs}")
 
 
+def _covers(universe, families) -> Iterator[List[int]]:
+    """Every exact cover of the universe by the families (frozensets), as the
+    indices of its families: Algorithm X on a dict of column sets. The column
+    with the fewest candidate rows (the smallest element on a tie) is opened
+    first and its rows are tried in ascending order, so the search order is
+    the same on every run."""
+    universe = set(universe)
+    columns: Dict[object, set] = {elem: set() for elem in universe}
+    for i, fam in enumerate(families):
+        if not fam <= universe:
+            raise ValueError("candidate family is not a subset of the universe")
+        for elem in fam:
+            columns[elem].add(i)
+    chosen: List[int] = []
+
+    def cover(row: int) -> List[set]:
+        removed = []
+        for elem in sorted(families[row]):
+            for other in columns[elem]:
+                for e2 in families[other]:
+                    if e2 != elem and e2 in columns:
+                        columns[e2].discard(other)
+            removed.append(columns.pop(elem))
+        return removed
+
+    def uncover(row: int, removed: List[set]) -> None:
+        for elem, rows in zip(sorted(families[row], reverse=True), reversed(removed)):
+            columns[elem] = rows
+            for other in rows:
+                for e2 in families[other]:
+                    if e2 != elem and e2 in columns:
+                        columns[e2].add(other)
+
+    # Depth-first search on an explicit stack: pending[d] iterates the rows of
+    # the column opened at depth d, chosen[d] is the row tried there.
+    undo: List[List[set]] = []
+    pending: List[Iterator[int]] = []
+    while True:
+        if columns:
+            col = min(columns, key=lambda c: (len(columns[c]), c))
+            pending.append(iter(sorted(columns[col])))
+        else:
+            yield list(chosen)
+        while pending:
+            if len(chosen) == len(pending):
+                uncover(chosen.pop(), undo.pop())
+            row = next(pending[-1], None)
+            if row is not None:
+                chosen.append(row)
+                undo.append(cover(row))
+                break
+            pending.pop()
+        else:
+            return
+
+
+def _count_covers(universe, families) -> int:
+    return sum(1 for _ in _covers(universe, families))
+
+
 def _first_box_cover(sizes, sides) -> Optional[list]:
-    """First exact cover of the box grid, in exactcover's search order, as
-    its boxes. None when no cover exists."""
+    """First exact cover of the box grid in the search order, as its boxes
+    in ascending order. None when no cover exists."""
     grid, boxes, cells = _box_grid(sizes, sides)
-    rows = exactcover.solve_first(grid, cells)
-    return None if rows is None else [boxes[i] for i in rows]
+    rows = next(_covers(grid, cells), None)
+    return None if rows is None else [boxes[i] for i in sorted(rows)]
 
 
 def check_divisibility_rule(
@@ -619,11 +701,11 @@ def check_tiling_counts(
         if f_falling(k + m, m) > 30:
             continue
         grid, _, cells = _box_grid(*_copy_shape(k, m))
-        if tiling.count_all_tilings(k, 1, m) != exactcover.count_covers(grid, cells):
+        if tiling.count_all_tilings(k, 1, m) != _count_covers(grid, cells):
             return _result(name, f"(k, m) = ({k}, {m})")
     for a, b, c in grids:
         grid, _, cells = _box_grid((a, b, c), (1, 1, 2))
-        if tiling._pair_tilings(a, b, c) != exactcover.count_covers(grid, cells):
+        if tiling._pair_tilings(a, b, c) != _count_covers(grid, cells):
             return _result(name, f"{a}x{b}x{c} grid of 1x1x2 boxes")
     return _result(name, None, f"universe <= 30; 1x1x2 boxes on {len(grids)} grids")
 
@@ -656,12 +738,31 @@ def check_path_sum_rows(max_n: int = 20) -> CheckResult:
     return _result(name, None, f"n <= {max_n} and n = {gvpaths.SUM_LIMIT}")
 
 
+def det_cofactor(matrix) -> int:
+    """Determinant by first-row cofactor expansion."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if n == 1:
+        return matrix[0][0]
+    total = 0
+    for c, head in enumerate(matrix[0]):
+        if head == 0:
+            continue
+        minor = [
+            [row[j] for j in range(n) if j != c] for row in matrix[1:]
+        ]
+        term = head * det_cofactor(minor)
+        total += term if c % 2 == 0 else -term
+    return total
+
+
 def check_determinant_routes(max_n: int = 8, max_k: int = 4) -> CheckResult:
     for n in range(max_n + 1):
         for k in range(min(max_k, n + 1) + 1):
             for r in combinations(range(n + 1), k):
                 matrix = gvpaths.path_matrix(r, n)
-                if gvpaths.det_exact(matrix) != gvpaths.det_cofactor(matrix):
+                if gvpaths.det_exact(matrix) != det_cofactor(matrix):
                     return _result(
                         "fraction-free vs cofactor determinant", f"R = {r}, n = {n}"
                     )
@@ -672,10 +773,43 @@ def check_determinant_routes(max_n: int = 8, max_k: int = 4) -> CheckResult:
 
 # --------------------------------------------------------------------- fence
 
+ORACLE_LIMIT = 20
+
+
+def _count_closed(m: int, up_closed: bool, unsafe_limits: bool) -> int:
+    ensure_within("fence oracle size", m, ORACLE_LIMIT, unsafe_limits)
+    covers = fence.FencePoset(m).covers
+    count = 0
+    for mask in range(1 << m):
+        ok = True
+        for lo, hi in covers:
+            lo_in = mask >> (lo - 1) & 1
+            hi_in = mask >> (hi - 1) & 1
+            if up_closed:
+                if lo_in and not hi_in:
+                    ok = False
+                    break
+            elif hi_in and not lo_in:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
+
+
+def count_ideals_oracle(m: int, unsafe_limits: bool = False) -> int:
+    """Brute force over all 2^m subsets, counting the down-closed ones."""
+    return _count_closed(m, up_closed=False, unsafe_limits=unsafe_limits)
+
+
+def count_filters_oracle(m: int, unsafe_limits: bool = False) -> int:
+    """Brute force over all 2^m subsets, counting the up-closed ones."""
+    return _count_closed(m, up_closed=True, unsafe_limits=unsafe_limits)
+
 
 def check_fence_oracle(max_m: int = 15) -> CheckResult:
     for m in range(max_m + 1):
-        if fence.count_ideals(m) != fence.count_ideals_oracle(m):
+        if fence.count_ideals(m) != count_ideals_oracle(m):
             return _result("fence ideals vs brute force", f"m = {m}")
     return _result("fence ideals vs brute force", None, f"m <= {max_m}")
 
@@ -715,7 +849,7 @@ def check_fence_fibonacci(max_m: int = 30) -> CheckResult:
 
 def check_fence_duality(max_m: int = 12) -> CheckResult:
     for m in range(max_m + 1):
-        if fence.count_ideals_oracle(m) != fence.count_filters_oracle(m):
+        if count_ideals_oracle(m) != count_filters_oracle(m):
             return _result("fence ideal/filter duality", f"m = {m}")
     return _result("fence ideal/filter duality", None, f"m <= {max_m}")
 

@@ -13,7 +13,6 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence, Union
 
 from .guards import ensure_within
-from .seqcore import _triangle
 
 ORACLE_LIMIT = 12
 
@@ -70,13 +69,21 @@ def _coerce(w: Weights) -> tuple:
 def c_coeff(w: Weights, k: int) -> int:
     """First-kind coefficient: sum of products over k strictly increasing boxes.
 
-    Computed by a band sweep of the recurrence
-    C_k^n = C_k^{n-1} + w_n C_{k-1}^{n-1} with C_0^n = 1 and C_k^0 = 0 for k > 0.
+    Computed by the recurrence C_k^n = C_k^{n-1} + w_n C_{k-1}^{n-1} with
+    C_0^n = 1 and C_k^0 = 0 for k > 0, sweeping one row in place over the
+    band k - (n - i) <= j <= min(i, k) that C_k^n depends on.
     """
     ws = _coerce(w)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return _triangle(len(ws), k, lambda i, j, up, left: up + ws[i - 1] * left, 1, 0)
+    n = len(ws)
+    if k > n:
+        return 0
+    row = [1] + [0] * k
+    for i, w_i in enumerate(ws, start=1):
+        for j in range(min(i, k), max(1, k - (n - i)) - 1, -1):
+            row[j] += w_i * row[j - 1]
+    return row[k]
 
 
 def s_coeff(w: Weights, k: int) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibcobweb import verify
-from fibcobweb.cli import _decimal_digits, decimal_str, main
+from fibcobweb.cli import CHAINS_LIMIT, _decimal_digits, decimal_str, main
 from fibcobweb.fence import count_ideals
 from fibcobweb.gvpaths import SUM_LIMIT
 from fibcobweb.seqcore import fibonomial
@@ -224,11 +224,13 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize(
-    "argv", [["tiling", "3000000", "1", "1"], ["chains", "1", "3000000"]]
+    "argv",
+    [["tiling", "3000000", "1", "1"], ["chains", "1", "3000000", "--unsafe-limits"]],
 )
 def test_out_of_memory_exits_3_without_traceback(argv):
     # Both fill the Fibonacci table up to index 3000000 before any guard
-    # can refuse; 1 GiB of address space in the child runs out first.
+    # refuses (chains only once its guard is overridden); 1 GiB of address
+    # space in the child runs out first.
     proc = subprocess.run(
         [sys.executable, "-m", "fibcobweb", *argv],
         capture_output=True,
@@ -238,7 +240,24 @@ def test_out_of_memory_exits_3_without_traceback(argv):
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == "guard exceeded: out of memory\n"
+    warning = "warning: desk-scale guards overridden (--unsafe-limits)\n"
+    overridden = warning if "--unsafe-limits" in argv else ""
+    assert proc.stderr == overridden + "guard exceeded: out of memory\n"
+
+
+def test_chains_guard_refuses_a_high_target_level():
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", "chains", "1", "20000"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"guard exceeded: chains target level = 20000 exceeds guard limit {CHAINS_LIMIT}",
+        "rerun with --unsafe-limits to override",
+    ]
 
 
 def test_tiling_guard_message_is_short(capsys):

@@ -1,15 +1,13 @@
 import pytest
 
-from fibcobweb.fence import (
-    FencePoset,
-    beck_identities,
-    count_filters_oracle,
-    count_ideals,
-    count_ideals_oracle,
-)
+from fibcobweb.fence import FencePoset, beck_identities, count_ideals
 from fibcobweb.guards import GuardExceeded
 from fibcobweb.seqcore import fib
-from fibcobweb.verify import linear_ideal_counts
+from fibcobweb.verify import (
+    count_filters_oracle,
+    count_ideals_oracle,
+    linear_ideal_counts,
+)
 
 
 def test_fence_covers():

@@ -8,13 +8,13 @@ from fibcobweb.gvpaths import (
     SUM_LIMIT,
     binomial,
     char_poly,
-    det_cofactor,
     det_exact,
     fibonomial_via_paths,
     n_of_r,
     path_matrix,
 )
 from fibcobweb.seqcore import fibonomial
+from fibcobweb.verify import det_cofactor
 
 
 def test_binomial_examples():

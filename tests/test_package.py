@@ -1,5 +1,6 @@
 """The package surface and what a CLI invocation loads."""
 
+import pkgutil
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 import fibcobweb
 
-LAYERS = ("cobweb", "tiling", "exactcover", "verify", "fence", "gvpaths", "weighted")
+MODULES = {info.name for info in pkgutil.iter_modules(fibcobweb.__path__)}
 
 
 def _fresh(code: str) -> str:
@@ -30,10 +31,15 @@ def _loaded_by(*argv) -> set:
     return set(_fresh(code).splitlines()[-1].split())
 
 
+def test_the_lazy_loader_knows_every_module():
+    assert MODULES == fibcobweb._SUBMODULES | {"__main__"}
+
+
 def test_a_command_loads_only_what_it_runs():
     loaded = _loaded_by("fibonomial", "5", "2")
     assert "fibcobweb.seqcore" in loaded
-    unwanted = {f"fibcobweb.{m}" for m in LAYERS} | {"dataclasses", "json", "csv"}
+    layers = MODULES - {"__main__", "cli", "guards", "seqcore"}
+    unwanted = {f"fibcobweb.{m}" for m in layers} | {"dataclasses", "json", "csv"}
     assert not loaded & unwanted
     loaded = _loaded_by("mobius", "5")
     assert "fibcobweb.cobweb" in loaded
@@ -41,10 +47,13 @@ def test_a_command_loads_only_what_it_runs():
     for argv in (("tiling", "4", "1", "2"), ("tiling", "3", "1", "3", "--count-all")):
         loaded = _loaded_by(*argv)
         assert "fibcobweb.tiling" in loaded
-        assert "fibcobweb.exactcover" not in loaded
+        assert "fibcobweb.verify" not in loaded
     loaded = _loaded_by("fence", "10")
     assert "fibcobweb.fence" in loaded
     assert "dataclasses" not in loaded
+    loaded = _loaded_by("konvalina", "first", "2", "--weights", "1,2,3")
+    assert "fibcobweb.weighted" in loaded
+    assert "fibcobweb.seqcore" not in loaded
 
 
 def test_public_names_are_their_modules_objects():
