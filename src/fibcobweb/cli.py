@@ -185,14 +185,16 @@ class _Output:
         else:
             sys.stdout.write(text)
 
-    def emit(self, command: str, inputs: dict, result, text, rows, dot=None) -> None:
+    def emit(self, command: str, inputs: dict, result, rows, text=None, dot=None) -> None:
         """Write the --format representation. result (the JSON record's
-        result), text (lines), rows (CSV) and dot are zero-argument
-        callables; only the one for the chosen format is called. main
-        admits --format dot only for commands that pass dot."""
-        if self.format == "text":
-            self.write("\n".join(text()) + "\n")
-        elif self.format == "json":
+        result), rows (the result as rows of cells), text (lines) and dot
+        are zero-argument callables; only those the chosen format needs are
+        called. A cell is an int, printed through decimal_str, or a str (not
+        a bool, which would share a table entry with 0 or 1); each row is a
+        sequence. CSV is the rows; text is the lines a command gives, else
+        the rows with cells space-separated. main admits --format dot only
+        for commands that pass dot."""
+        if self.format == "json":
             import json
 
             record = {
@@ -202,26 +204,33 @@ class _Output:
                 "version": __version__,
             }
             self.write(json.dumps(_stringify(record), sort_keys=True) + "\n")
-        elif self.format == "csv":
-            import csv
+        elif self.format == "dot":
+            self.write(dot())
+        elif self.format == "text" and text is not None:
+            self.write("\n".join(text()) + "\n")
+        else:
             import io
 
             buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerows(rows())
+            if self.format == "csv":
+                import csv
+
+                writerow = csv.writer(buf, lineterminator="\n").writerow
+            else:
+
+                def writerow(cells):
+                    buf.write(" ".join(cells) + "\n")
+
+            shown = {}  # each distinct cell, rendered once; rows print by lookup
+            for row in rows():
+                for cell in set(row).difference(shown):
+                    shown[cell] = decimal_str(cell) if isinstance(cell, int) else cell
+                writerow(map(shown.__getitem__, row))
             self.write(buf.getvalue())
-        else:
-            self.write(dot())
 
     def emit_value(self, command: str, inputs: dict, value) -> None:
         """One number: the text line, the CSV row and the JSON result."""
-        self.emit(
-            command,
-            inputs,
-            lambda: value,
-            lambda: [decimal_str(value)],
-            lambda: [[decimal_str(value)]],
-        )
+        self.emit(command, inputs, lambda: value, lambda: [[value]])
 
 
 def _coord_text(v) -> str:
@@ -239,39 +248,24 @@ def _cmd_fibonomial(args, out: _Output) -> int:
         rows = [
             [fibonomial(n, k) for k in range(n + 1)] for n in range(args.triangle + 1)
         ]
-        out.emit(
-            "fibonomial",
-            {"triangle": args.triangle},
-            lambda: rows,
-            lambda: [" ".join(map(decimal_str, row)) for row in rows],
-            lambda: [list(map(decimal_str, row)) for row in rows],
-        )
-        return 0
-    if args.n is None:
+        inputs, result = {"triangle": args.triangle}, rows
+    elif args.n is None:
         raise ValueError("fibonomial needs N (with optional K) or --triangle ROWS")
-    if args.k is None:
+    elif args.k is None:
         if args.n < 0:
             raise ValueError(f"indices must be >= 0, got {args.n}")
-        row = [fibonomial(args.n, k) for k in range(args.n + 1)]
-        out.emit(
-            "fibonomial",
-            {"n": args.n},
-            lambda: row,
-            lambda: [" ".join(map(decimal_str, row))],
-            lambda: [list(map(decimal_str, row))],
-        )
+        rows = [[fibonomial(args.n, k) for k in range(args.n + 1)]]
+        inputs, result = {"n": args.n}, rows[0]
+    else:
+        out.emit_value("fibonomial", {"n": args.n, "k": args.k}, fibonomial(args.n, args.k))
         return 0
-    out.emit_value("fibonomial", {"n": args.n, "k": args.k}, fibonomial(args.n, args.k))
+    out.emit("fibonomial", inputs, lambda: result, lambda: rows)
     return 0
 
 
 def _matrix_guard(n: int, unsafe: bool) -> None:
     # matrix dimension grows like phi^n; the dump itself becomes the bottleneck
     ensure_within("matrix dump level", n, TEXT_MATRIX_LIMIT, unsafe)
-
-
-def _emit_matrix(out: _Output, command: str, inputs: dict, matrix) -> None:
-    out.emit(command, inputs, lambda: matrix.rows, lambda: [matrix.dump()], lambda: matrix.rows)
 
 
 def _cmd_zeta(args, out: _Output) -> int:
@@ -290,14 +284,14 @@ def _cmd_zeta(args, out: _Output) -> int:
             "zeta",
             {"n": args.n, "check": True},
             lambda: {"equal": True, "dim": dim},
-            lambda: [f"zeta check N={args.n}: OK"],
             lambda: [["OK", dim]],
+            text=lambda: [f"zeta check N={args.n}: OK"],
         )
         return 0
     builder = cobweb.zeta_explicit if args.explicit else cobweb.zeta_from_order
     mode = "explicit" if args.explicit else "order"
     matrix = builder(poset, args.unsafe_limits)
-    _emit_matrix(out, "zeta", {"n": args.n, "build": mode}, matrix)
+    out.emit("zeta", {"n": args.n, "build": mode}, lambda: matrix.rows, lambda: matrix.rows)
     return 0
 
 
@@ -306,7 +300,7 @@ def _cmd_mobius(args, out: _Output) -> int:
 
     _matrix_guard(args.n, args.unsafe_limits)
     matrix = cobweb.mobius(cobweb.build(args.n), args.unsafe_limits)
-    _emit_matrix(out, "mobius", {"n": args.n}, matrix)
+    out.emit("mobius", {"n": args.n}, lambda: matrix.rows, lambda: matrix.rows)
     return 0
 
 
@@ -314,17 +308,19 @@ def _cmd_chains(args, out: _Output) -> int:
     from . import cobweb
 
     ensure_within("chains target level", args.n, CHAINS_LIMIT, args.unsafe_limits)
-    poset = cobweb.build(max(args.n, args.k, 1))
+    if args.k > args.n:
+        raise ValueError(f"start level {args.k} is above target level {args.n}")
+    poset = cobweb.build(max(args.n, 1))
     start = cobweb.VertexCoord(1, args.k)
     if args.enumerate:
         chains = cobweb.enumerate_max_chains(poset, start, args.n, args.unsafe_limits)
-        out.emit(
-            "chains",
-            {"k": args.k, "n": args.n, "enumerate": True},
-            lambda: chains,
-            lambda: [" ".join(_coord_text(v) for v in chain) for chain in chains],
-            lambda: [[_coord_text(v) for v in chain] for chain in chains],
-        )
+
+        def rows():
+            # one string per vertex, so that emit hashes each text once
+            texts = {v: _coord_text(v) for v in set().union(*chains)}
+            return ([texts[v] for v in chain] for chain in chains)
+
+        out.emit("chains", {"k": args.k, "n": args.n, "enumerate": True}, lambda: chains, rows)
         return 0
     value = cobweb.count_max_chains_from_vertex(poset, start, args.n)
     out.emit_value("chains", {"k": args.k, "n": args.n}, value)
@@ -367,8 +363,8 @@ def _cmd_tiling(args, out: _Output) -> int:
             "tiling",
             {**inputs, "count_all": True},
             lambda: {**result, "covers": covers},
-            lambda: [f"covers {decimal_str(covers)}"],
-            lambda: [[decimal_str(covers)]],
+            lambda: [[covers]],
+            text=lambda: [f"covers {decimal_str(covers)}"],
         )
         return 0
     header = [
@@ -381,8 +377,8 @@ def _cmd_tiling(args, out: _Output) -> int:
             "tiling",
             inputs,
             lambda: {**result, "copies": None, "verdict": "NO COVER"},
-            lambda: header + [f"NO COVER ({tiling.no_cover_reason(k, m)})"],
             lambda: [["NO COVER"]],
+            text=lambda: header + [f"NO COVER ({tiling.no_cover_reason(k, m)})"],
         )
         return 0
     valid = tiling.verify_tiling(solution)
@@ -405,11 +401,11 @@ def _cmd_tiling(args, out: _Output) -> int:
         "tiling",
         inputs,
         record,
-        lambda: header + _tiling_lines(solution) + [f"verdict {verdict}"],
         lambda: [
             [idx, _coord_text(c.root)] + [" ".join(map(str, s)) for s in c.chosen]
             for idx, c in enumerate(solution.copies)
         ],
+        text=lambda: header + _tiling_lines(solution) + [f"verdict {verdict}"],
     )
     return 0 if valid else 1
 
@@ -486,11 +482,11 @@ def _cmd_hasse(args, out: _Output) -> int:
         "hasse",
         {"n": args.n},
         lambda: {"vertices": [poset.coord_of(x) for x in vertices], "edges": edges},
-        lambda: [f"vertices {poset.vertex_count}"]
+        lambda: edges,
+        text=lambda: [f"vertices {poset.vertex_count}"]
         + [f"{x} {_coord_text(poset.coord_of(x))}" for x in vertices]
         + [f"{x} -> {y}" for x, y in edges],
-        lambda: edges,
-        lambda: _hasse_dot(poset),
+        dot=lambda: _hasse_dot(poset),
     )
     return 0
 
@@ -513,12 +509,12 @@ def _cmd_verify(args, out: _Output) -> int:
             ],
             "passed": all_passed,
         },
-        lambda: [
+        lambda: [[r.name, str(r.passed), r.detail] for r in results],
+        text=lambda: [
             f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" ({r.detail})" if r.detail else "")
             for r in results
         ]
         + [f"suite {args.suite}: {'PASS' if all_passed else 'FAIL'}"],
-        lambda: [[r.name, r.passed, r.detail] for r in results],
     )
     for r in results:
         print(f"check {r.name} wall time: {r.seconds:.3f}s", file=sys.stderr)

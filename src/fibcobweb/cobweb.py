@@ -182,10 +182,6 @@ class IncMatrix:
                         return (i + 1, j + 1)
         return None
 
-    def dump(self) -> str:
-        """Plain-text rows, entries space-separated."""
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
 
 def _level_rows(p: CobwebPoset, between) -> IncMatrix:
     """1 on the diagonal, between(s, t) from each vertex of level s to every

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibcobweb import verify
+from fibcobweb import cli, verify
 from fibcobweb.cli import CHAINS_LIMIT, _decimal_digits, decimal_str, main
 from fibcobweb.fence import count_ideals
 from fibcobweb.gvpaths import SUM_LIMIT
@@ -260,6 +261,21 @@ def test_chains_guard_refuses_a_high_target_level():
     ]
 
 
+def test_chains_refuses_a_start_level_above_the_target_before_building():
+    # Building the height-3000000 poset would fill the Fibonacci table far
+    # past the 1 GiB address-space limit of the child.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", "chains", "3000000", "1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: start level 3000000 is above target level 1\n"
+
+
 def test_tiling_guard_message_is_short(capsys):
     # the guarded universe F_1001 has 209 digits
     code, _, err = run(capsys, "tiling", "1000", "1", "1")
@@ -482,6 +498,26 @@ def test_csv_output(capsys):
     code, out, _ = run(capsys, "fibonomial", "--triangle", "3", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["1", "1,1", "1,1,1", "1,2,2,1"]
+
+
+@pytest.mark.parametrize(
+    "fmt, want", [("text", "{0} -1 {0}\na,b 7\n"), ("csv", '{0},-1,{0}\n"a,b",7\n')]
+)
+def test_emit_prints_each_distinct_int_once_through_decimal_str(fmt, want, monkeypatch, capsys):
+    big = 3**50000  # 79249 bits, above DECIMAL_STR_BITS
+    with unlimited_int_str():
+        digits = str(big)
+    converted = []
+
+    def counting(n):
+        converted.append(n)
+        return decimal_str(n)
+
+    monkeypatch.setattr(cli, "decimal_str", counting)
+    out = cli._Output(argparse.Namespace(format=fmt, out=None))
+    out.emit("x", {}, lambda: None, lambda: [(big, -1, big), ["a,b", 7]])
+    assert capsys.readouterr().out == want.format(digits)
+    assert sorted(converted) == [-1, 7, big]
 
 
 def test_verify_suite_arith(capsys):
