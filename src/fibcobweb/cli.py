@@ -16,7 +16,8 @@ import sys
 from . import __version__
 from .guards import GuardExceeded, ensure_within
 
-# Each command imports the modules it runs, so an invocation loads only those.
+# Each command imports the modules it runs, after the guards it can check
+# without them, so an invocation loads only those and a refusal loads none.
 
 TEXT_MATRIX_LIMIT = 12
 HASSE_LIMIT = 10
@@ -108,6 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
 # counted: str() is faster at 64000 bits, the decimal route at 72000.
 DECIMAL_STR_BITS = 1 << 16
 _LEAF_BITS = 128  # pieces this short go to Decimal directly
+# Rows are written in pieces of at least this many characters: unbuffered
+# stdout makes each write a system call, and the whole output need not be
+# held at once.
+CHUNK_CHARS = 1 << 16
 
 
 def decimal_str(n: int) -> str:
@@ -175,15 +180,17 @@ class _Output:
         self.format = args.format
         self.path = args.out
 
-    def write(self, text: str) -> None:
+    def write(self, chunks) -> None:
+        """Write an iterable of strings in order; a generator renders the
+        output as it is written."""
         if self.path:
             try:
                 with open(self.path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.writelines(chunks)
             except OSError as exc:
                 raise ValueError(f"cannot write --out: {exc}") from exc
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
 
     def emit(self, command: str, inputs: dict, result, rows, text=None, dot=None) -> None:
         """Write the --format representation. result (the JSON record's
@@ -203,30 +210,45 @@ class _Output:
                 "result": result(),
                 "version": __version__,
             }
-            self.write(json.dumps(_stringify(record), sort_keys=True) + "\n")
+            self.write([json.dumps(_stringify(record), sort_keys=True) + "\n"])
         elif self.format == "dot":
-            self.write(dot())
+            self.write([dot()])
         elif self.format == "text" and text is not None:
-            self.write("\n".join(text()) + "\n")
+            self.write(["\n".join(text()) + "\n"])
         else:
-            import io
+            self.write(self._row_chunks(rows()))
 
-            buf = io.StringIO()
-            if self.format == "csv":
-                import csv
+    def _row_chunks(self, rows):
+        """The rendered rows, joined into strings of at least CHUNK_CHARS
+        characters (the last may be shorter), so that neither the whole
+        output nor a write per row is needed. Each distinct cell of a chunk
+        is rendered once, into a table kept until the chunk is written."""
+        lines = []
+        if self.format == "csv":
+            import csv
+            from types import SimpleNamespace
 
-                writerow = csv.writer(buf, lineterminator="\n").writerow
-            else:
+            sink = SimpleNamespace(write=lines.append)
+            writerow = csv.writer(sink, lineterminator="\n").writerow
+        else:
 
-                def writerow(cells):
-                    buf.write(" ".join(cells) + "\n")
+            def writerow(cells):
+                lines.append(" ".join(cells) + "\n")
 
-            shown = {}  # each distinct cell, rendered once; rows print by lookup
-            for row in rows():
-                for cell in set(row).difference(shown):
-                    shown[cell] = decimal_str(cell) if isinstance(cell, int) else cell
-                writerow(map(shown.__getitem__, row))
-            self.write(buf.getvalue())
+        shown = {}
+        held = 0
+        for row in rows:
+            for cell in set(row).difference(shown):
+                shown[cell] = decimal_str(cell) if isinstance(cell, int) else cell
+            writerow(map(shown.__getitem__, row))
+            held += len(lines[-1])
+            if held >= CHUNK_CHARS:
+                yield "".join(lines)
+                lines.clear()
+                shown.clear()
+                held = 0
+        if lines:
+            yield "".join(lines)
 
     def emit_value(self, command: str, inputs: dict, value) -> None:
         """One number: the text line, the CSV row and the JSON result."""
@@ -269,9 +291,9 @@ def _matrix_guard(n: int, unsafe: bool) -> None:
 
 
 def _cmd_zeta(args, out: _Output) -> int:
+    _matrix_guard(args.n, args.unsafe_limits)
     from . import cobweb
 
-    _matrix_guard(args.n, args.unsafe_limits)
     poset = cobweb.build(args.n)
     if args.check:
         zeta = cobweb.zeta_from_order(poset, args.unsafe_limits)
@@ -296,20 +318,20 @@ def _cmd_zeta(args, out: _Output) -> int:
 
 
 def _cmd_mobius(args, out: _Output) -> int:
+    _matrix_guard(args.n, args.unsafe_limits)
     from . import cobweb
 
-    _matrix_guard(args.n, args.unsafe_limits)
     matrix = cobweb.mobius(cobweb.build(args.n), args.unsafe_limits)
     out.emit("mobius", {"n": args.n}, lambda: matrix.rows, lambda: matrix.rows)
     return 0
 
 
 def _cmd_chains(args, out: _Output) -> int:
-    from . import cobweb
-
     ensure_within("chains target level", args.n, CHAINS_LIMIT, args.unsafe_limits)
     if args.k > args.n:
         raise ValueError(f"start level {args.k} is above target level {args.n}")
+    from . import cobweb
+
     poset = cobweb.build(max(args.n, 1))
     start = cobweb.VertexCoord(1, args.k)
     if args.enumerate:
@@ -472,9 +494,9 @@ def _hasse_dot(poset) -> str:
 
 
 def _cmd_hasse(args, out: _Output) -> int:
+    ensure_within("hasse level", args.n, HASSE_LIMIT, args.unsafe_limits)
     from . import cobweb
 
-    ensure_within("hasse level", args.n, HASSE_LIMIT, args.unsafe_limits)
     poset = cobweb.build(args.n)
     vertices = range(1, poset.vertex_count + 1)
     edges = list(poset.hasse_edges())

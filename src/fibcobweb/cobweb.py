@@ -10,12 +10,13 @@ The poset is an ordinal sum of antichains, so off the diagonal every
 incidence function depends only on the levels s < t of x < y:
 zeta(x, y) = 1, mu(x, y) = -prod_{s<i<t} (1 - F_i), and the number of chains
 from x to y is prod_{s<i<t} (1 + F_i). One row builder writes the
-order-indicator matrix, applying the comparability predicate once per pair
-of levels, and the Mobius matrix from these level values; chain counts are
-read off the level formula. The explicit Kronecker-delta expansion builds
-the order-indicator matrix without the level layout: it is the independent
-route `verify` compares the first with. The dense product that checks
-zeta * mobius == identity and the brute-force chain count live in `verify`.
+order-indicator matrix (the comparability predicate applied once per pair of
+levels) and the Mobius matrix from these level values; chain counts are read
+off the level formula. The explicit Kronecker-delta expansion builds the
+order-indicator matrix without the level layout, the independent route
+`verify` compares the first with. Both copy each row once out of one buffer
+per level, so a build peaks at about the matrix it returns. The dense product
+zeta * mobius and the brute-force chain count live in `verify`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .guards import ensure_within
 from .seqcore import exact_div, f_factorial, f_falling, fib
 
 ENUMERATION_LIMIT = 10**6
-# Dense matrices hold dim^2 entries. The dimension at N = 15 is 1596 (about
-# 20 MB a matrix); N = 16 (2583) is refused, N = 20 (17710) would need GBs.
+# Dense matrices hold dim^2 entries and a build peaks at about one matrix: at
+# N = 15 (dimension 1596) about 20 MB. N = 16 (2583) is refused.
 # The builders test the dimension inline before calling the guard, because
 # warm callers ask for the cached matrix once per entry they read.
 DENSE_LIMIT = 2000
@@ -135,20 +136,9 @@ class IncMatrix:
 
     def __init__(self, rows):
         frozen = tuple(tuple(int(v) for v in row) for row in rows)
-        dim = len(frozen)
-        for row in frozen:
-            if len(row) != dim:
-                raise ValueError("matrix must be square")
+        if any(len(row) != len(frozen) for row in frozen):
+            raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", frozen)
-
-    @classmethod
-    def _of_rows(cls, rows) -> "IncMatrix":
-        """Matrix from square rows of ints built here: turns them into tuples
-        but skips the per-entry conversion and shape check of the public
-        constructor."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", tuple(map(tuple, rows)))
-        return matrix
 
     def __setattr__(self, name, value):
         raise AttributeError("IncMatrix is immutable")
@@ -183,21 +173,29 @@ class IncMatrix:
         return None
 
 
+def _frozen(rows: List[Tuple[int, ...]]) -> IncMatrix:
+    """IncMatrix of int tuples built here, without the public checks."""
+    matrix = object.__new__(IncMatrix)
+    object.__setattr__(matrix, "rows", tuple(rows))
+    return matrix
+
+
 def _level_rows(p: CobwebPoset, between) -> IncMatrix:
     """1 on the diagonal, between(s, t) from each vertex of level s to every
     vertex of each level t > s, and 0 elsewhere: the shape of every incidence
-    function of an ordinal sum of antichains."""
+    function of an ordinal sum of antichains. Each vertex of level s sets its
+    diagonal cell in the level's one row buffer, copies it out and resets it."""
     rows = []
     for s in range(1, p.max_level + 1):
-        template = [0] * p.vertex_count
+        row = [0] * p.vertex_count
         for t in range(s + 1, p.max_level + 1):
             r = p.level_range(t)
-            template[r.start - 1 : r.stop - 1] = [between(s, t)] * len(r)
+            row[r.start - 1 : r.stop - 1] = [between(s, t)] * len(r)
         for x in p.level_range(s):
-            row = template.copy()
             row[x - 1] = 1
-            rows.append(row)
-    return IncMatrix._of_rows(rows)
+            rows.append(tuple(row))
+            row[x - 1] = 0
+    return _frozen(rows)
 
 
 @lru_cache(maxsize=1)
@@ -210,20 +208,20 @@ def _zeta_from_order(max_level: int) -> IncMatrix:
 @lru_cache(maxsize=1)
 def _zeta_explicit(max_level: int) -> IncMatrix:
     n = CobwebPoset(max_level).vertex_count
-    # First summand: 1 whenever y = x + k for some k >= 0 (the sums below are
-    # truncated at the matrix dimension; all deltas vanish beyond it).
-    rows = [[0] * (x - 1) + [1] * (n - x + 1) for x in range(1, n + 1)]
-    # Subtracted summand: for x = F_{s+1} + k it clears the k-th vertex's
-    # remaining same-level entries y = x + r, 1 <= r <= F_s - k - 1, that is
-    # the 0-based columns x .. F_{s+1} + F_s - 2. Only the first F_s - 1
-    # vertices of level s have any.
+    rows = []
     for s in range(1, max_level + 1):
-        start, size = fib(s + 1), fib(s)
-        end = start + size - 1
-        for x in range(start, end):
-            row = rows[x - 1]
+        start, end = fib(s + 1), fib(s + 2) - 1  # level s, 1-based
+        # First summand: 1 whenever y = x + k for some k >= 0, truncated at
+        # the matrix dimension; its tail past level s is the level's to share.
+        row = [0] * end + [1] * (n - end)
+        for x in range(start, end + 1):
+            row[x - 1 : end] = [1] * (end - x + 1)
+            # Subtracted summand: for x = F_{s+1} + k it clears y = x + r,
+            # 1 <= r <= F_s - k - 1, the 0-based columns x .. end - 1.
             row[x:end] = [v - 1 for v in row[x:end]]
-    return IncMatrix._of_rows(rows)
+            rows.append(tuple(row))
+            row[x - 1] = 0
+    return _frozen(rows)
 
 
 @lru_cache(maxsize=1)

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import random
 import subprocess
@@ -518,6 +519,33 @@ def test_emit_prints_each_distinct_int_once_through_decimal_str(fmt, want, monke
     out.emit("x", {}, lambda: None, lambda: [(big, -1, big), ["a,b", 7]])
     assert capsys.readouterr().out == want.format(digits)
     assert sorted(converted) == [-1, 7, big]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_emit_writes_rows_in_chunks_as_they_come(fmt, monkeypatch):
+    # about 800 KB of rows: more than one write, each but the last at least
+    # CHUNK_CHARS, and the first before the last row is rendered
+    total, produced, writes = 2000, [], []
+
+    def rows():
+        for i in range(total):
+            produced.append(i)
+            yield [10**40 + i] * 10
+
+    class Sink(io.TextIOBase):
+        def write(self, chunk):
+            writes.append((chunk, len(produced)))
+            return len(chunk)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    cli._Output(argparse.Namespace(format=fmt, out=None)).emit("x", {}, None, rows)
+    sep = " " if fmt == "text" else ","
+    assert "".join(w for w, _ in writes) == "".join(
+        sep.join([str(10**40 + i)] * 10) + "\n" for i in range(total)
+    )
+    assert len(writes) > 1
+    assert all(len(w) >= cli.CHUNK_CHARS for w, _ in writes[:-1])
+    assert writes[0][1] < total
 
 
 def test_verify_suite_arith(capsys):

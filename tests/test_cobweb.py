@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from math import prod
 
 import pytest
@@ -102,13 +103,13 @@ def test_zeta_explicit_single_vertex():
 
 
 def test_zeta_constructions_agree():
-    for n in range(1, 11):
+    for n in range(1, 13):
         p = build(n)
         assert zeta_explicit(p) == zeta_from_order(p)
 
 
 def test_zeta_from_order_matches_the_order_relation():
-    for n in range(1, 10):
+    for n in range(1, 13):
         p = build(n)
         z = zeta_from_order(p)
         for x in range(1, p.vertex_count + 1):
@@ -117,19 +118,18 @@ def test_zeta_from_order_matches_the_order_relation():
 
 
 def test_mobius_matches_the_level_formula():
-    for n in range(1, 10):
+    for n in range(1, 13):
         p = build(n)
         m = mobius(p)
-        for x in range(1, p.vertex_count + 1):
-            s = p.level_of(x)
-            for y in range(1, p.vertex_count + 1):
-                t = p.level_of(y)
-                if x == y:
-                    want = 1
-                elif s < t:
-                    want = -prod(1 - fib(i) for i in range(s + 1, t))
-                else:
-                    want = 0
+        level = {x: p.level_of(x) for x in range(1, p.vertex_count + 1)}
+        above = {
+            (s, t): -prod(1 - fib(i) for i in range(s + 1, t))
+            for s in range(1, n + 1)
+            for t in range(s + 1, n + 1)
+        }
+        for x, s in level.items():
+            for y, t in level.items():
+                want = 1 if x == y else above.get((s, t), 0)
                 assert m.entry(x, y) == want
 
 
@@ -324,6 +324,26 @@ def test_internal_builds_match_the_checked_constructor():
         p = build(n)
         for builder in (zeta_from_order, zeta_explicit, mobius):
             assert_checked(builder(p))
+
+
+def test_a_cold_dense_build_peaks_at_about_the_matrix_it_returns():
+    # Each row is copied once out of a per-level buffer; holding every row
+    # twice (lists, then tuples) would peak at twice the matrix.
+    p = build(12)
+    for builder, cached in (
+        (zeta_from_order, cobweb._zeta_from_order),
+        (zeta_explicit, cobweb._zeta_explicit),
+        (mobius, cobweb._mobius),
+    ):
+        cached.cache_clear()
+        tracemalloc.start()
+        try:
+            m = builder(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sys.getsizeof(m.rows) + sum(sys.getsizeof(row) for row in m.rows)
+        assert peak <= 1.1 * size, (builder.__name__, peak / size)
 
 
 def test_incmatrix_first_difference():

@@ -19,13 +19,13 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
-def _loaded_by(*argv) -> set:
+def _loaded_by(*argv, exit_code=0) -> set:
     """Modules that `cobweb ARGV` adds to a fresh interpreter's sys.modules."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from fibcobweb.cli import main\n"
-        f"assert main({list(argv)!r}) == 0\n"
+        f"assert main({list(argv)!r}) == {exit_code}\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     return set(_fresh(code).splitlines()[-1].split())
@@ -44,6 +44,15 @@ def test_a_command_loads_only_what_it_runs():
     loaded = _loaded_by("mobius", "5")
     assert "fibcobweb.cobweb" in loaded
     assert not loaded & {"fibcobweb.tiling", "fibcobweb.verify"}
+    # a guard or usage refusal comes before the poset layer is loaded
+    for argv, exit_code in (
+        (("mobius", "13"), 3),
+        (("hasse", "11"), 3),
+        (("chains", "1", "3000"), 3),
+        (("chains", "5", "3"), 2),
+    ):
+        loaded = _loaded_by(*argv, exit_code=exit_code)
+        assert not loaded & {"fibcobweb.cobweb", "fibcobweb.seqcore"}, argv
     for argv in (("tiling", "4", "1", "2"), ("tiling", "3", "1", "3", "--count-all")):
         loaded = _loaded_by(*argv)
         assert "fibcobweb.tiling" in loaded
