@@ -30,9 +30,9 @@ _EXPORTS = {
         "zeta_explicit",
         "zeta_from_order",
     ),
-    "fence": ("FencePoset", "beck_identities", "count_ideals"),
+    "fence": ("count_ideals",),
     "guards": ("GuardExceeded",),
-    "gvpaths": ("binomial", "fibonomial_via_paths", "n_of_r"),
+    "gvpaths": ("fibonomial_via_paths", "n_of_r"),
     "seqcore": (
         "IntPolynomial",
         "f_factorial",

@@ -467,7 +467,7 @@ def _cmd_konvalina(args, out: _Output) -> int:
     wv = _parse_weights(args)
     fn = weighted.c_coeff if args.kind == "first" else weighted.s_coeff
     value = fn(wv, args.k)
-    inputs = {"kind": args.kind, "weights": list(wv.weights), "k": args.k}
+    inputs = {"kind": args.kind, "weights": list(wv), "k": args.k}
     out.emit_value("konvalina", inputs, value)
     return 0
 

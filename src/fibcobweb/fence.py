@@ -1,4 +1,4 @@
-"""Order ideals of the zigzag fence poset and the Fibonacci split identities.
+"""Order ideals of the zigzag fence poset.
 
 The fence on m elements alternates covers x_1 < x_2 > x_3 < x_4 > ...; its
 number of down-closed subsets is the Fibonacci number F_{m+2} under this
@@ -10,41 +10,6 @@ cover, and brute force over all subsets for ideals and filters.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
-
-from .seqcore import fib
-
-
-class FencePoset:
-    """Immutable zigzag poset x_1 < x_2 > x_3 < ... on elements 1..size."""
-
-    __slots__ = ("size",)
-
-    def __init__(self, size: int):
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
-        object.__setattr__(self, "size", size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FencePoset is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FencePoset) and other.size == self.size
-
-    def __hash__(self) -> int:
-        return hash((self.size,))
-
-    def __repr__(self) -> str:
-        return f"FencePoset(size={self.size})"
-
-    @property
-    def covers(self) -> Tuple[Tuple[int, int], ...]:
-        """(lower, upper) pairs; odd positions point up, even point down."""
-        out = []
-        for i in range(1, self.size):
-            out.append((i, i + 1) if i % 2 == 1 else (i + 1, i))
-        return tuple(out)
 
 
 # Transfer steps on the counts (excluded, included) of ideals of x_1..x_i,
@@ -79,12 +44,3 @@ def count_ideals(m: int) -> int:
             a += b  # S^(p+1) = S^p.S = ((a + b, a + 2b), ...)
             b += a
     return 3 * a + 5 * b if odd else 2 * a + 3 * b
-
-
-def beck_identities(n: int, k: int) -> bool:
-    """Both Fibonacci split identities obtained from fence-ideal counting."""
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got ({n}, {k})")
-    first = fib(n) == fib(k) * fib(n + 1 - k) + fib(k - 1) * fib(n - k)
-    second = fib(n) == fib(k - 1) * fib(n + 2 - k) + fib(k - 2) * fib(n + 1 - k)
-    return first and second

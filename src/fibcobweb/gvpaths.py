@@ -27,13 +27,6 @@ from .seqcore import exact_div
 SUM_LIMIT = 50
 
 
-def binomial(a: int, b: int) -> int:
-    """Binomial coefficient, 0 when b > a."""
-    if a < 0 or b < 0:
-        raise ValueError(f"arguments must be >= 0, got ({a}, {b})")
-    return math.comb(a, b)
-
-
 def det_exact(matrix: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by fraction-free elimination."""
     n = len(matrix)
@@ -109,7 +102,7 @@ def path_matrix(r: Sequence[int], n: int) -> List[List[int]]:
     rs = _validated(r, n)
     k = len(rs)
     return [
-        [binomial(rs[i], n - rs[k - 1 - j]) for j in range(k)] for i in range(k)
+        [math.comb(rs[i], n - rs[k - 1 - j]) for j in range(k)] for i in range(k)
     ]
 
 
@@ -127,7 +120,7 @@ def _path_sums(n: int) -> List[int]:
     """Path sums over the k-subsets of {0..n}, for k = 0..n+1: the
     coefficients of det(tI - M), M[a][b] = C(a, n - b), each times
     (-1)^{k(k+1)/2}."""
-    matrix = [[binomial(a, n - b) for b in range(n + 1)] for a in range(n + 1)]
+    matrix = [[math.comb(a, n - b) for b in range(n + 1)] for a in range(n + 1)]
     return [-c if k % 4 in (1, 2) else c for k, c in enumerate(char_poly(matrix))]
 
 

@@ -76,9 +76,11 @@ def copy_count(k: int, m: int) -> int:
 
 def no_cover_reason(k: int, m: int) -> Optional[str]:
     """Why no height-m tiling above a level-k root exists, naming the largest
-    s <= m with F_s not dividing F_{k+s}; None when a tiling exists."""
-    for s in range(m, 0, -1):
-        if fib(k + s) % fib(s):
+    s <= m with F_s not dividing F_{k+s}; None when a tiling exists. For
+    s >= 3, F_s | F_{k+s} exactly when s | k (strong divisibility), and
+    F_1 = F_2 = 1 divide everything, so the indices decide."""
+    for s in range(m, 2, -1):
+        if k % s:
             return f"F_{s} does not divide F_{k + s}"
     return None
 

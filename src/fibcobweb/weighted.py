@@ -9,64 +9,39 @@ Gaussian coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 from .guards import ensure_within
 
 ORACLE_LIMIT = 12
 
 
-class WeightVector:
-    """Nondecreasing positive integer weights (w_1, ..., w_n)."""
+class WeightVector(tuple):
+    """Nondecreasing positive integer weights (w_1, ..., w_n): a tuple,
+    checked once when it is made. Non-integers raise TypeError."""
 
-    __slots__ = ("weights",)
+    __slots__ = ()
 
-    def __init__(self, weights: Iterable[int]):
-        ws = tuple(int(w) for w in weights)
+    def __new__(cls, weights: Iterable[int]):
+        ws = tuple(map(operator.index, weights))
         for w in ws:
             if w < 1:
                 raise ValueError(f"weights must be >= 1, got {w}")
         if any(a > b for a, b in zip(ws, ws[1:])):
             raise ValueError(f"weights must be nondecreasing, got {ws}")
-        object.__setattr__(self, "weights", ws)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightVector is immutable")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __getitem__(self, i):
-        return self.weights[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WeightVector):
-            return self.weights == other.weights
-        if isinstance(other, tuple):
-            return self.weights == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.weights)
+        return super().__new__(cls, ws)
 
     def __repr__(self) -> str:
-        return f"WeightVector{self.weights}"
+        return f"WeightVector{tuple(self)}"
 
 
-Weights = Union[WeightVector, Sequence[int]]
+def _coerce(w: Iterable[int]) -> WeightVector:
+    return w if isinstance(w, WeightVector) else WeightVector(w)
 
 
-def _coerce(w: Weights) -> tuple:
-    if isinstance(w, WeightVector):
-        return w.weights
-    return WeightVector(w).weights
-
-
-def c_coeff(w: Weights, k: int) -> int:
+def c_coeff(w: Iterable[int], k: int) -> int:
     """First-kind coefficient: sum of products over k strictly increasing boxes.
 
     Computed by the recurrence C_k^n = C_k^{n-1} + w_n C_{k-1}^{n-1} with
@@ -86,7 +61,7 @@ def c_coeff(w: Weights, k: int) -> int:
     return row[k]
 
 
-def s_coeff(w: Weights, k: int) -> int:
+def s_coeff(w: Iterable[int], k: int) -> int:
     """Second-kind coefficient: sum of products over k nondecreasing boxes.
 
     Computed by the recurrence S_k^n = S_k^{n-1} + w_n S_{k-1}^n with
@@ -106,7 +81,7 @@ def s_coeff(w: Weights, k: int) -> int:
     return row[k]
 
 
-def c_coeff_oracle(w: Weights, k: int, unsafe_limits: bool = False) -> int:
+def c_coeff_oracle(w: Iterable[int], k: int, unsafe_limits: bool = False) -> int:
     """Brute-force enumeration of all strictly increasing index tuples."""
     ws = _coerce(w)
     ensure_within("oracle weight count", len(ws), ORACLE_LIMIT, unsafe_limits)
@@ -114,7 +89,7 @@ def c_coeff_oracle(w: Weights, k: int, unsafe_limits: bool = False) -> int:
     return sum(math.prod(t) for t in combinations(ws, k))
 
 
-def s_coeff_oracle(w: Weights, k: int, unsafe_limits: bool = False) -> int:
+def s_coeff_oracle(w: Iterable[int], k: int, unsafe_limits: bool = False) -> int:
     """Brute-force enumeration of all nondecreasing index tuples."""
     ws = _coerce(w)
     ensure_within("oracle weight count", len(ws), ORACLE_LIMIT, unsafe_limits)

@@ -6,7 +6,6 @@ import pytest
 from fibcobweb.guards import GuardExceeded
 from fibcobweb.gvpaths import (
     SUM_LIMIT,
-    binomial,
     char_poly,
     det_exact,
     fibonomial_via_paths,
@@ -15,17 +14,6 @@ from fibcobweb.gvpaths import (
 )
 from fibcobweb.seqcore import fibonomial
 from fibcobweb.verify import det_cofactor
-
-
-def test_binomial_examples():
-    assert binomial(0, 1) == 0
-    assert binomial(5, 2) == 10
-    for n in range(10):
-        assert binomial(n, 0) == 1
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -1)
 
 
 def test_path_matrix_example():

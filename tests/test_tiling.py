@@ -145,6 +145,20 @@ def test_divisibility_rule_closed_form():
     assert no_cover_reason(8, 4) == "F_3 does not divide F_11"
 
 
+def test_divisibility_rule_from_the_indices_matches_the_fibonacci_numbers():
+    # the rule read off the Fibonacci numbers themselves: the largest s <= m
+    # whose F_s leaves a remainder on F_{k+s}
+    def by_remainders(k, m):
+        for s in range(m, 0, -1):
+            if fib(k + s) % fib(s):
+                return f"F_{s} does not divide F_{k + s}"
+        return None
+
+    for k in range(301):
+        for m in range(41):
+            assert no_cover_reason(k, m) == by_remainders(k, m), (k, m)
+
+
 def test_no_cover_below_the_top_level_answers_without_search():
     # (4, 4) has 4.1M candidate copies; the rule answers before any is built
     assert find_tiling(4, 1, 4, unsafe_limits=True) is None

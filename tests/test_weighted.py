@@ -16,20 +16,44 @@ from fibcobweb.weighted import (
 
 
 def test_weight_vector_validation():
-    assert WeightVector((1, 2, 2, 5)).weights == (1, 2, 2, 5)
-    assert WeightVector(()).weights == ()
-    with pytest.raises(ValueError):
+    assert WeightVector((1, 2, 2, 5)) == (1, 2, 2, 5)
+    assert WeightVector(()) == ()
+    with pytest.raises(ValueError, match="weights must be >= 1, got 0"):
         WeightVector((0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"nondecreasing, got \(2, 1\)"):
         WeightVector((2, 1))
+    # a positive weight is checked before the order
+    with pytest.raises(ValueError, match=">= 1, got 0"):
+        WeightVector((2, 1, 0))
+
+
+def test_weight_vector_rejects_non_integers():
+    # int() would truncate 1.9 to 1 and accept "3"
+    for weights in ((1.9, 2.7), ("3",), (1, 2.0)):
+        with pytest.raises(TypeError):
+            WeightVector(weights)
+        with pytest.raises(TypeError):
+            c_coeff(weights, 2)
+        with pytest.raises(TypeError):
+            s_coeff(weights, 2)
+
+
+def test_weight_vector_is_a_checked_tuple():
+    wv = WeightVector((1, 2))
+    assert isinstance(wv, tuple)
+    assert wv == (1, 2) and (1, 2) == wv and wv != (1, 3)
+    assert hash(wv) == hash((1, 2))
+    assert len({wv, (1, 2), WeightVector([1, 2])}) == 1
+    assert len(wv) == 2 and wv[1] == 2 and list(wv) == [1, 2]
+    assert repr(wv) == "WeightVector(1, 2)"
 
 
 def test_weight_vector_is_immutable():
     wv = WeightVector((1, 2))
     with pytest.raises(AttributeError):
         wv.weights = (9,)
-    assert wv == (1, 2)
-    assert len(wv) == 2 and wv[1] == 2
+    with pytest.raises(TypeError):
+        wv[0] = 9
 
 
 def test_c_coeff_examples():
