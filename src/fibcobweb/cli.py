@@ -11,7 +11,9 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .guards import GuardExceeded, ensure_within
@@ -59,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--explicit", action="store_true", help="delta-expansion build")
     group.add_argument("--order", action="store_true", help="comparability build (default)")
-    p.add_argument("--check", action="store_true", help="build both ways and compare")
+    group.add_argument("--check", action="store_true", help="build both ways and compare")
 
     p = sub.add_parser("mobius", parents=[common], help="Mobius matrix")
     p.add_argument("n", type=int)
@@ -182,15 +184,22 @@ class _Output:
 
     def write(self, chunks) -> None:
         """Write an iterable of strings in order; a generator renders the
-        output as it is written."""
+        output as it is written. A failed write (a closed pipe, a full disk)
+        becomes a ValueError, so main exits 2 with one line."""
         if self.path:
-            try:
-                with open(self.path, "w", encoding="utf-8") as fh:
-                    fh.writelines(chunks)
-            except OSError as exc:
-                raise ValueError(f"cannot write --out: {exc}") from exc
+            where, target = "--out", lambda: open(self.path, "w", encoding="utf-8")
         else:
-            sys.stdout.writelines(chunks)
+            where, target = "stdout", lambda: nullcontext(sys.stdout)
+        try:
+            with target() as fh:
+                fh.writelines(chunks)
+                fh.flush()
+        except OSError as exc:
+            if not self.path:
+                # the interpreter flushes stdout again at exit: send what is
+                # left in its buffer nowhere, so that no second error follows
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ValueError(f"cannot write {where}: {exc}") from exc
 
     def emit(self, command: str, inputs: dict, result, rows, text=None, dot=None) -> None:
         """Write the --format representation. result (the JSON record's
@@ -361,8 +370,9 @@ def _tiling_lines(solution) -> list[str]:
             for s, subset in enumerate(c.chosen, start=1)
         )
         lines.append(f"copy {idx}: root {_coord_text(c.root)}; {chosen}")
-    for chain in sorted(solution.assignment):
-        lines.append(f"chain {_chain_text(chain)} -> copy {solution.assignment[chain]}")
+    # one read: each read of the property builds the map again
+    for chain, idx in sorted(solution.assignment.items()):
+        lines.append(f"chain {_chain_text(chain)} -> copy {idx}")
     return lines
 
 

@@ -25,7 +25,7 @@ k+m at F_{m+1}F_k splits its copies into the recurrence's two classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Optional, Tuple
 
@@ -57,7 +57,12 @@ class TilingSolution:
     root: VertexCoord
     height: int
     copies: Tuple[CopySpec, ...]
-    assignment: Dict[ChainTuple, int] = field(compare=False)
+
+    @property
+    def assignment(self) -> Dict[ChainTuple, int]:
+        """Each chain mapped to the index of its copy, built from the copies
+        on every read."""
+        return {chain: idx for idx, c in enumerate(self.copies) for chain in product(*c.chosen)}
 
 
 def _validate(k: int, r: int, m: int) -> None:
@@ -110,11 +115,7 @@ def find_tiling(
         for s in range(1, m + 1)
     ]
     root = VertexCoord(r, k)
-    copies = tuple(CopySpec(root, chosen) for chosen in product(*blocks))
-    assignment = {
-        chain: idx for idx, c in enumerate(copies) for chain in product(*c.chosen)
-    }
-    return TilingSolution(root, m, copies, assignment)
+    return TilingSolution(root, m, tuple(CopySpec(root, chosen) for chosen in product(*blocks)))
 
 
 def _pair_tilings(a: int, b: int, c: int) -> int:
@@ -142,14 +143,14 @@ def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> in
 def verify_tiling(t: TilingSolution) -> bool:
     """Structural check: a valid root of height m >= 1 shared by every copy;
     each copy of height m with, at every level k+s, F_s distinct positions in
-    1..F_{k+s}; families pairwise disjoint and covering all f_falling(k+m, m)
-    chains; and t.assignment mapping each chain to the index of its copy.
+    1..F_{k+s}; and families pairwise disjoint and covering all
+    f_falling(k+m, m) chains.
 
     Each distinct subset object is checked once per level, so the block
     tuples that find_tiling shares between copies cost one check each. A copy
     of well-formed subsets has exactly prod F_s chains, so the families are
-    disjoint iff the chain-to-copy map built in one pass has
-    len(copies) * prod F_s entries. The cost is linear in the chains."""
+    disjoint iff the set of their chains has len(copies) * prod F_s members.
+    The cost is linear in the chains."""
     k, m = t.root.s, t.height
     if not (k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
         return False
@@ -164,7 +165,5 @@ def verify_tiling(t: TilingSolution) -> bool:
                 return False
             if not (1 <= min(subset) and max(subset) <= top):
                 return False
-    chains = {chain: idx for idx, c in enumerate(copies) for chain in product(*c.chosen)}
-    if len(chains) != len(copies) * math.prod(sizes):
-        return False
-    return len(chains) == f_falling(k + m, m) and t.assignment == chains
+    chains = {chain for c in copies for chain in product(*c.chosen)}
+    return len(chains) == len(copies) * math.prod(sizes) == f_falling(k + m, m)

@@ -566,22 +566,16 @@ def check_recurrence_split() -> CheckResult:
 # Tamperings of a tiling t, each a function (t, i, j, s, p) of two copy
 # indices i, j < len(t.copies), a level index s < t.height and a position
 # index p. Each returns a tiling verify_tiling must reject, or None where it
-# does not apply. The structural ones carry the assignment their copies imply
-# (a later copy keeps a shared chain), so no assignment test can hide a
-# missed structural test.
+# does not apply.
 
 
-def _implied(t: tiling.TilingSolution, copies) -> tiling.TilingSolution:
-    assignment = {chain: idx for idx, c in enumerate(copies) for chain in product(*c.chosen)}
-    return tiling.TilingSolution(t.root, t.height, copies, assignment)
+def _with_copy(t: tiling.TilingSolution, i: int, root, chosen) -> tiling.TilingSolution:
+    """t with copy i replaced by CopySpec(root, chosen)."""
+    copy = tiling.CopySpec(root, tuple(chosen))
+    return replace(t, copies=t.copies[:i] + (copy,) + t.copies[i + 1:])
 
 
-def _with_copy(t: tiling.TilingSolution, i: int, root, chosen) -> tuple:
-    """t.copies with copy i replaced by CopySpec(root, chosen)."""
-    return t.copies[:i] + (tiling.CopySpec(root, tuple(chosen)),) + t.copies[i + 1:]
-
-
-def _with_subset(t: tiling.TilingSolution, i: int, s: int, subset) -> tuple:
+def _with_subset(t: tiling.TilingSolution, i: int, s: int, subset) -> tiling.TilingSolution:
     chosen = list(t.copies[i].chosen)
     chosen[s] = subset
     return _with_copy(t, i, t.copies[i].root, chosen)
@@ -590,7 +584,7 @@ def _with_subset(t: tiling.TilingSolution, i: int, s: int, subset) -> tuple:
 def _with_position(t: tiling.TilingSolution, i: int, s: int, p: int, pos: int):
     subset = list(t.copies[i].chosen[s])
     subset[p % len(subset)] = pos
-    return _implied(t, _with_subset(t, i, s, tuple(subset)))
+    return _with_subset(t, i, s, tuple(subset))
 
 
 def _other_root(t: tiling.TilingSolution) -> cobweb.VertexCoord:
@@ -598,11 +592,13 @@ def _other_root(t: tiling.TilingSolution) -> cobweb.VertexCoord:
 
 
 def _swap_level(t, i, j, s, p):
-    a, b = t.copies[i].chosen[s], t.copies[j].chosen[s]
-    if a == b:
+    """None where the swap only renumbers the copies: copies i and j agree
+    at level s, or differ only there."""
+    x, y = t.copies[i], t.copies[j]
+    moved = _with_subset(t, i, s, y.chosen[s])
+    if x.chosen[s] == y.chosen[s] or moved.copies[i] == y:
         return None
-    moved = replace(t, copies=_with_subset(t, i, s, b))
-    return replace(t, copies=_with_subset(moved, j, s, a))
+    return _with_subset(moved, j, s, x.chosen[s])
 
 
 def _repeat_position(t, i, j, s, p):
@@ -617,27 +613,20 @@ def _extra_position(t, i, j, s, p):
     free = [pos for pos in range(1, fib(t.root.s + s + 1) + 1) if pos not in subset]
     if not free:
         return None
-    return _implied(t, _with_subset(t, i, s, tuple(subset) + (free[p % len(free)],)))
+    return _with_subset(t, i, s, tuple(subset) + (free[p % len(free)],))
 
 
 def _extra_level(t, i, j, s, p):
     c = t.copies[i]
-    return _implied(t, _with_copy(t, i, c.root, tuple(c.chosen) + ((1,),)))
-
-
-def _retarget_chain(t, i, j, s, p):
-    chain = next(product(*t.copies[i].chosen))
-    return replace(t, assignment={**t.assignment, chain: j if j != i else len(t.copies)})
-
-
-def _missing_chain(t, i, j, s, p):
-    chain = next(product(*t.copies[i].chosen))
-    return replace(t, assignment={c: idx for c, idx in t.assignment.items() if c != chain})
+    return _with_copy(t, i, c.root, tuple(c.chosen) + ((1,),))
 
 
 TILING_TAMPERINGS = (
-    ("drop a copy", lambda t, i, j, s, p: _implied(t, t.copies[:i] + t.copies[i + 1:])),
-    ("duplicate a copy", lambda t, i, j, s, p: _implied(t, t.copies[:i + 1] + t.copies[i:])),
+    ("drop a copy", lambda t, i, j, s, p: replace(t, copies=t.copies[:i] + t.copies[i + 1:])),
+    (
+        "duplicate a copy",
+        lambda t, i, j, s, p: replace(t, copies=t.copies[:i + 1] + t.copies[i:]),
+    ),
     ("swap a level between two copies", _swap_level),
     ("position 0", lambda t, i, j, s, p: _with_position(t, i, s, p, 0)),
     (
@@ -650,14 +639,8 @@ TILING_TAMPERINGS = (
     ("moved root", lambda t, i, j, s, p: replace(t, root=_other_root(t))),
     (
         "copy with another root",
-        lambda t, i, j, s, p: _implied(t, _with_copy(t, i, _other_root(t), t.copies[i].chosen)),
+        lambda t, i, j, s, p: _with_copy(t, i, _other_root(t), t.copies[i].chosen),
     ),
-    ("retargeted chain", _retarget_chain),
-    (
-        "extra chain",
-        lambda t, i, j, s, p: replace(t, assignment={**t.assignment, (0,) * t.height: i}),
-    ),
-    ("missing chain", _missing_chain),
 )
 
 

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -101,6 +102,14 @@ def test_zeta_check(capsys):
     code, out, _ = run(capsys, "zeta", "8", "--check")
     assert code == 0
     assert "OK" in out
+
+
+@pytest.mark.parametrize("build", ["--explicit", "--order"])
+def test_zeta_check_takes_no_build_flag(build, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "3", "--check", build])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_zeta_text_guard(capsys):
@@ -447,6 +456,42 @@ def test_out_is_directory(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _assert_one_stdout_error(returncode, stderr):
+    assert returncode == 2
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert stderr.startswith("error: cannot write stdout: ")
+    assert len(stderr.splitlines()) == 1
+
+
+def test_closed_stdout_pipe_exits_2_with_one_line(tmp_path):
+    # `cobweb fibonomial --triangle 200 | head -c 100`: 14 MB of rows, and the
+    # reader leaves after 100 bytes
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fibcobweb", "fibonomial", "--triangle", "200"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        returncode = proc.wait(timeout=60)
+        err.seek(0)
+        _assert_one_stdout_error(returncode, err.read())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_with_one_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibcobweb", "fibonomial", "5", "2"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=30,
+        )
+    _assert_one_stdout_error(proc.returncode, proc.stderr)
 
 
 def test_json_record_shape(capsys):

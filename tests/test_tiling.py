@@ -1,7 +1,7 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
-from typing import Dict
+from typing import Set
 
 import pytest
 from hypothesis import given, settings
@@ -209,43 +209,38 @@ def test_verify_tiling_rejects_tampering():
 
     # duplicated copy covers a chain twice
     tampered = TilingSolution(
-        solution.root,
-        solution.height,
-        (solution.copies[0],) + solution.copies,
-        solution.assignment,
+        solution.root, solution.height, (solution.copies[0],) + solution.copies
     )
     assert not verify_tiling(tampered)
 
     # dropped copy leaves chains uncovered
-    tampered = TilingSolution(
-        solution.root, solution.height, solution.copies[1:], solution.assignment
-    )
+    tampered = TilingSolution(solution.root, solution.height, solution.copies[1:])
     assert not verify_tiling(tampered)
 
     # root mismatch
-    moved = TilingSolution(
-        VertexCoord(2, 3), solution.height, solution.copies, solution.assignment
-    )
+    moved = TilingSolution(VertexCoord(2, 3), solution.height, solution.copies)
     assert not verify_tiling(moved)
-
-    # assignment pointing at the wrong copy
-    broken = dict(solution.assignment)
-    first_chain = next(iter(broken))
-    broken[first_chain] = (broken[first_chain] + 1) % len(solution.copies)
-    tampered = TilingSolution(
-        solution.root, solution.height, solution.copies, broken
-    )
-    assert not verify_tiling(tampered)
 
 
 def test_verify_tiling_rejects_malformed_copy():
     solution = find_tiling(1, 1, 2)
     bad_copy = CopySpec(solution.root, ((1,), (0,)))  # position 0 out of range
     tampered = TilingSolution(
-        solution.root, solution.height, (bad_copy,) + solution.copies[1:],
-        solution.assignment,
+        solution.root, solution.height, (bad_copy,) + solution.copies[1:]
     )
     assert not verify_tiling(tampered)
+
+
+def test_a_tiling_is_its_copies():
+    assert [f.name for f in fields(TilingSolution)] == ["root", "height", "copies"]
+    t = find_tiling(3, 1, 3)
+    # the same partition numbered backwards: the map follows the copies
+    renumbered = replace(t, copies=t.copies[::-1])
+    assert verify_tiling(renumbered)
+    last = len(t.copies) - 1
+    assert renumbered.assignment == {
+        chain: last - idx for chain, idx in t.assignment.items()
+    }
 
 
 def _verify_tiling_per_copy(t: TilingSolution) -> bool:
@@ -253,8 +248,8 @@ def _verify_tiling_per_copy(t: TilingSolution) -> bool:
     k, m = t.root.s, t.height
     if not (k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
         return False
-    seen: Dict[ChainTuple, int] = {}
-    for idx, c in enumerate(t.copies):
+    seen: Set[ChainTuple] = set()
+    for c in t.copies:
         if c.root != t.root or c.height != m:
             return False
         for s, subset in enumerate(c.chosen, start=1):
@@ -265,10 +260,8 @@ def _verify_tiling_per_copy(t: TilingSolution) -> bool:
         for chain in product(*c.chosen):
             if chain in seen:
                 return False
-            seen[chain] = idx
-    if len(seen) != f_falling(k + m, m):
-        return False
-    return t.assignment == seen
+            seen.add(chain)
+    return len(seen) == f_falling(k + m, m)
 
 
 def _with_list_subsets(t):
