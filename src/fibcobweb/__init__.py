@@ -23,7 +23,6 @@ _EXPORTS = {
         "VertexCoord",
         "build",
         "count_all_chains",
-        "count_max_chains_from_root",
         "count_max_chains_from_vertex",
         "enumerate_max_chains",
         "mobius",
@@ -32,7 +31,7 @@ _EXPORTS = {
     ),
     "fence": ("count_ideals",),
     "guards": ("GuardExceeded",),
-    "gvpaths": ("fibonomial_via_paths", "n_of_r"),
+    "gvpaths": ("fibonomial_via_paths",),
     "seqcore": (
         "IntPolynomial",
         "f_factorial",

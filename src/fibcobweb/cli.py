@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from . import __version__
 from .guards import GuardExceeded, ensure_within
@@ -30,8 +30,19 @@ CHAINS_LIMIT = 2500
 VERIFY_SUITES = ("arith", "poset", "tiling", "paths", "fence", "all")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and version text go through the guarded stdout write, so that a
+    failed write exits 2 (argparse drops the error and exits 0)."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            _write_stdout([message])
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cobweb",
         description="Exact Fibonacci cobweb poset combinatorics",
     )
@@ -175,6 +186,24 @@ def _stringify(value):
     return value
 
 
+def _write_stdout(chunks) -> None:
+    """Write an iterable of strings to stdout and flush it. A failed write (a
+    closed pipe, a full disk) becomes a ValueError, so main exits 2 with one
+    line."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: send what is left in
+        # its buffer nowhere, so that no second error follows
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
+        raise ValueError(f"cannot write stdout: {exc}") from exc
+
+
 class _Output:
     """Rendered output destined for stdout or --out."""
 
@@ -184,22 +213,16 @@ class _Output:
 
     def write(self, chunks) -> None:
         """Write an iterable of strings in order; a generator renders the
-        output as it is written. A failed write (a closed pipe, a full disk)
-        becomes a ValueError, so main exits 2 with one line."""
-        if self.path:
-            where, target = "--out", lambda: open(self.path, "w", encoding="utf-8")
-        else:
-            where, target = "stdout", lambda: nullcontext(sys.stdout)
+        output as it is written. A failed write becomes a ValueError, so
+        main exits 2 with one line."""
+        if not self.path:
+            _write_stdout(chunks)
+            return
         try:
-            with target() as fh:
+            with open(self.path, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
-                fh.flush()
         except OSError as exc:
-            if not self.path:
-                # the interpreter flushes stdout again at exit: send what is
-                # left in its buffer nowhere, so that no second error follows
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise ValueError(f"cannot write {where}: {exc}") from exc
+            raise ValueError(f"cannot write --out: {exc}") from exc
 
     def emit(self, command: str, inputs: dict, result, rows, text=None, dot=None) -> None:
         """Write the --format representation. result (the JSON record's
@@ -570,30 +593,43 @@ _COMMANDS = {
 _GRAPH_COMMANDS = {"hasse"}
 
 
-def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # results are exact decimals of any length
-    args = _build_parser().parse_args(argv)
-    if args.format == "dot" and args.command not in _GRAPH_COMMANDS:
-        print("error: dot output is valid only for graph-producing commands", file=sys.stderr)
-        return 2
-    if args.unsafe_limits:
-        print("warning: desk-scale guards overridden (--unsafe-limits)", file=sys.stderr)
+@contextmanager
+def unlimited_int_str():
+    """Lift CPython's limit on the digits of int <-> str conversions (3.10.7+)
+    for the duration, so results print as exact decimals of any length."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args, _Output(args))
-    except GuardExceeded as exc:
-        print(f"guard exceeded: {exc}", file=sys.stderr)
-        print("rerun with --unsafe-limits to override", file=sys.stderr)
-        return 3
-    except MemoryError:
-        print("guard exceeded: out of memory", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ArithmeticError, AssertionError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def main(argv: list[str] | None = None) -> int:
+    with unlimited_int_str():
+        try:
+            args = _build_parser().parse_args(argv)
+            if args.format == "dot" and args.command not in _GRAPH_COMMANDS:
+                raise ValueError("dot output is valid only for graph-producing commands")
+            if args.unsafe_limits:
+                print("warning: desk-scale guards overridden (--unsafe-limits)", file=sys.stderr)
+            return _COMMANDS[args.command](args, _Output(args))
+        except GuardExceeded as exc:
+            print(f"guard exceeded: {exc}", file=sys.stderr)
+            print("rerun with --unsafe-limits to override", file=sys.stderr)
+            return 3
+        except MemoryError:
+            print("guard exceeded: out of memory", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (ArithmeticError, AssertionError) as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

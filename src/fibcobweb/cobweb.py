@@ -28,7 +28,7 @@ from math import prod
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .guards import ensure_within
-from .seqcore import exact_div, f_factorial, f_falling, fib
+from .seqcore import exact_div, f_falling, fib
 
 ENUMERATION_LIMIT = 10**6
 # Dense matrices hold dim^2 entries and a build peaks at about one matrix: at
@@ -262,13 +262,6 @@ def mobius(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     if p.vertex_count > DENSE_LIMIT:
         ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
     return _mobius(p.max_level)
-
-
-def count_max_chains_from_root(p: CobwebPoset, n: int) -> int:
-    """Maximal chains from the root hitting one vertex per level 1..n."""
-    if not 1 <= n <= p.max_level:
-        raise ValueError(f"target level {n} out of range 1..{p.max_level}")
-    return f_factorial(n)
 
 
 def count_max_chains_from_vertex(p: CobwebPoset, v: VertexCoord, n: int) -> int:

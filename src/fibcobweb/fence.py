@@ -12,12 +12,6 @@ cover, and brute force over all subsets for ideals and filters.
 from __future__ import annotations
 
 
-# Transfer steps on the counts (excluded, included) of ideals of x_1..x_i,
-# split by whether x_i is in; step i takes them from x_i to x_{i+1}.
-UP = ((1, 1), (0, 1))  # odd i, x_i < x_{i+1}: including x_{i+1} forces x_i in
-DOWN = ((1, 0), (1, 1))  # even i, x_{i+1} < x_i: including x_i forces x_{i+1} in
-
-
 def count_ideals(m: int) -> int:
     """Down-closed subsets of the m-element fence, from its transfer matrix.
 

@@ -3,8 +3,8 @@
 For an index subset R = {r_1 < ... < r_k} of {0..n}, the determinant of the
 matrix with entries C(r_i, n - r_{k+1-j}) counts nonintersecting k-tuples of
 lattice paths; summed over all k-subsets it yields a Fibonomial coefficient.
-Single determinants are computed exactly with fraction-free elimination;
-the cofactor expansion it is checked against lives in `verify`.
+The single determinants, by fraction-free elimination and by cofactor
+expansion, live in `verify` as the oracles for the sum.
 
 The sum over all k-subsets is never formed term by term. Reversing the
 column order turns each path matrix into the principal submatrix M[R][R] of
@@ -19,41 +19,11 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .guards import ensure_within
-from .seqcore import exact_div
 
 SUM_LIMIT = 50
-
-
-def det_exact(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    for row in m:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    sign = 1
-    prev_pivot = 1
-    for t in range(n - 1):
-        if m[t][t] == 0:
-            for i in range(t + 1, n):
-                if m[i][t] != 0:
-                    m[t], m[i] = m[i], m[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[t][t]
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                m[i][j] = exact_div(pivot * m[i][j] - m[i][t] * m[t][j], prev_pivot)
-            m[i][t] = 0
-        prev_pivot = pivot
-    return sign * m[n - 1][n - 1]
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> List[int]:
@@ -86,34 +56,6 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> List[int]:
             for i in range(r + 2)
         ]
     return poly
-
-
-def _validated(r: Sequence[int], n: int) -> Tuple[int, ...]:
-    rs = tuple(r)
-    if any(a >= b for a, b in zip(rs, rs[1:])):
-        raise ValueError(f"index set must be strictly increasing, got {rs}")
-    if rs and not (0 <= rs[0] and rs[-1] <= n):
-        raise ValueError(f"index set {rs} not within 0..{n}")
-    return rs
-
-
-def path_matrix(r: Sequence[int], n: int) -> List[List[int]]:
-    """The k x k binomial matrix attached to the index set."""
-    rs = _validated(r, n)
-    k = len(rs)
-    return [
-        [math.comb(rs[i], n - rs[k - 1 - j]) for j in range(k)] for i in range(k)
-    ]
-
-
-def n_of_r(r: Sequence[int], n: int) -> int:
-    """Nonintersecting path count for one index set (always >= 0)."""
-    value = det_exact(path_matrix(r, n))
-    if value < 0:
-        raise ArithmeticError(
-            f"path determinant for R={tuple(r)}, n={n} is negative ({value})"
-        )
-    return value
 
 
 def _path_sums(n: int) -> List[int]:

@@ -11,11 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibcobweb import cli, verify
-from fibcobweb.cli import CHAINS_LIMIT, _decimal_digits, decimal_str, main
+from fibcobweb.cli import (
+    CHAINS_LIMIT,
+    _decimal_digits,
+    decimal_str,
+    main,
+    unlimited_int_str,
+)
 from fibcobweb.fence import count_ideals
 from fibcobweb.gvpaths import SUM_LIMIT
 from fibcobweb.seqcore import fibonomial
-from fibcobweb.verify import CheckResult, unlimited_int_str
+from fibcobweb.verify import CheckResult
 
 
 def run(capsys, *argv):
@@ -33,7 +39,8 @@ def test_fibonomial_value(capsys):
 def test_fibonomial_long_decimal(capsys):
     code, out, _ = run(capsys, "fibonomial", "300", "150")
     assert code == 0
-    assert out == f"{fibonomial(300, 150)}\n"
+    with unlimited_int_str():
+        assert out == f"{fibonomial(300, 150)}\n"
     assert len(out) > 4300
 
 
@@ -492,6 +499,62 @@ def test_full_stdout_exits_2_with_one_line():
             timeout=30,
         )
     _assert_one_stdout_error(proc.returncode, proc.stderr)
+
+
+def _run_on(stdout, argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "fibcobweb", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=30,
+        env=env,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [("--version",), ("--help",)])
+def test_help_and_version_on_full_stdout_exit_2(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _run_on(full, argv, unbuffered)
+    _assert_one_stdout_error(proc.returncode, proc.stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_on_closed_stdout_pipe_exits_2(unbuffered):
+    # `cobweb tiling --help | head -c 10` where the reader has left before
+    # the help is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_on(write_end, ("tiling", "--help"), unbuffered)
+    finally:
+        os.close(write_end)
+    _assert_one_stdout_error(proc.returncode, proc.stderr)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit"
+)
+def test_main_restores_the_int_string_limit(capsys):
+    # an in-process main, after it exits 0 or 2, leaves the host's limit as
+    # it found it
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(capsys, "fence", "10")[0] == 0
+        assert sys.get_int_max_str_digits() == 4300
+        assert run(capsys, "fibonomial", "5", "2", "--format", "dot")[0] == 2
+        assert sys.get_int_max_str_digits() == 4300
+        with unlimited_int_str():
+            assert sys.get_int_max_str_digits() == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_json_record_shape(capsys):

@@ -11,7 +11,6 @@ from fibcobweb.cobweb import (
     VertexCoord,
     build,
     count_all_chains,
-    count_max_chains_from_root,
     count_max_chains_from_vertex,
     enumerate_max_chains,
     mobius,
@@ -168,13 +167,14 @@ def test_mobius_alternating_sum():
 
 def test_chain_counts_from_root():
     p = build(10)
-    assert count_max_chains_from_root(p, 1) == 1
-    assert count_max_chains_from_root(p, 5) == 30
-    assert count_max_chains_from_root(p, 10) == 122522400
+    root = VertexCoord(1, 1)
+    assert count_max_chains_from_vertex(p, root, 1) == 1
+    assert count_max_chains_from_vertex(p, root, 5) == 30
+    assert count_max_chains_from_vertex(p, root, 10) == 122522400
     for n in range(1, 11):
-        assert count_max_chains_from_root(p, n) == f_factorial(n)
+        assert count_max_chains_from_vertex(p, root, n) == f_factorial(n)
     with pytest.raises(ValueError):
-        count_max_chains_from_root(p, 11)
+        count_max_chains_from_vertex(p, root, 11)
 
 
 def test_chain_counts_from_vertex():
@@ -193,10 +193,11 @@ def test_chain_counts_from_vertex():
 
 def test_chain_count_factorises_through_levels():
     p = build(8)
+    root = VertexCoord(1, 1)
     for n in range(1, 9):
         for k in range(1, n + 1):
-            assert count_max_chains_from_root(p, n) == count_max_chains_from_root(
-                p, k
+            assert count_max_chains_from_vertex(p, root, n) == count_max_chains_from_vertex(
+                p, root, k
             ) * count_max_chains_from_vertex(p, VertexCoord(1, k), n)
 
 

@@ -4,37 +4,22 @@ from itertools import combinations
 import pytest
 
 from fibcobweb.guards import GuardExceeded
-from fibcobweb.gvpaths import (
-    SUM_LIMIT,
-    char_poly,
-    det_exact,
-    fibonomial_via_paths,
-    n_of_r,
-    path_matrix,
-)
+from fibcobweb.gvpaths import SUM_LIMIT, char_poly, fibonomial_via_paths
 from fibcobweb.seqcore import fibonomial
-from fibcobweb.verify import det_cofactor
+from fibcobweb.verify import _path_matrix, det_cofactor, det_exact
 
 
 def test_path_matrix_example():
-    assert path_matrix((1, 3), 3) == [[1, 0], [1, 3]]
-    assert path_matrix((0, 1), 3) == [[0, 0], [0, 0]]
-
-
-def test_index_set_validation():
-    with pytest.raises(ValueError):
-        n_of_r((3, 1), 3)
-    with pytest.raises(ValueError):
-        n_of_r((1, 1), 3)
-    with pytest.raises(ValueError):
-        n_of_r((0, 4), 3)
+    assert _path_matrix((1, 3), 3) == [[1, 0], [1, 3]]
+    assert _path_matrix((0, 1), 3) == [[0, 0], [0, 0]]
 
 
 def test_n_of_r_examples():
-    assert n_of_r((1,), 2) == 1
-    assert n_of_r((1, 3), 3) == 3
-    assert n_of_r((0, 1), 3) == 0
-    assert n_of_r((), 5) == 1  # empty determinant
+    # the nonintersecting path count of one index set R within 0..n
+    assert det_exact(_path_matrix((1,), 2)) == 1
+    assert det_exact(_path_matrix((1, 3), 3)) == 3
+    assert det_exact(_path_matrix((0, 1), 3)) == 0
+    assert det_exact(_path_matrix((), 5)) == 1  # empty determinant
 
 
 DETERMINANT_CASES = [
@@ -89,7 +74,7 @@ def test_path_matrices_against_cofactor():
     for n in range(7):
         for k in range(min(4, n + 1) + 1):
             for r in combinations(range(n + 1), k):
-                m = path_matrix(r, n)
+                m = _path_matrix(r, n)
                 assert det_exact(m) == det_cofactor(m)
 
 
@@ -111,7 +96,7 @@ def test_path_counts_nonnegative():
     for n in range(9):
         for k in range(n + 2):
             for r in combinations(range(n + 1), k):
-                assert n_of_r(r, n) >= 0
+                assert det_exact(_path_matrix(r, n)) >= 0
 
 
 def test_fibonomial_via_paths_guard():

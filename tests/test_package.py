@@ -60,6 +60,9 @@ def test_a_command_loads_only_what_it_runs():
     loaded = _loaded_by("fence", "10")
     assert "fibcobweb.fence" in loaded
     assert not loaded & {"fibcobweb.seqcore", "dataclasses"}
+    loaded = _loaded_by("gv", "5", "2")
+    assert "fibcobweb.gvpaths" in loaded
+    assert "fibcobweb.seqcore" not in loaded
     loaded = _loaded_by("konvalina", "first", "2", "--weights", "1,2,3")
     assert "fibcobweb.weighted" in loaded
     assert "fibcobweb.seqcore" not in loaded
@@ -96,7 +99,6 @@ def test_public_names_are_pinned():
         "c_coeff_oracle",
         "count_all_chains",
         "count_ideals",
-        "count_max_chains_from_root",
         "count_max_chains_from_vertex",
         "enumerate_max_chains",
         "f_factorial",
@@ -107,7 +109,6 @@ def test_public_names_are_pinned():
         "fibonomial_via_paths",
         "find_tiling",
         "mobius",
-        "n_of_r",
         "preset_weights",
         "q_binomial",
         "s_coeff",

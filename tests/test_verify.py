@@ -190,3 +190,32 @@ def test_stirling_helpers():
 def test_stirling_helpers_past_the_recursion_limit():
     assert verify.stirling2(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
     assert verify.stirling1_unsigned(1500, 1499) == math.comb(1500, 2)
+
+
+def test_determinant_check_fails_on_a_lost_row_swap_sign(monkeypatch):
+    # a path matrix never needs a row swap, its column reversal does
+    monkeypatch.setattr(verify, "det_exact", lambda m: abs(verify.det_cofactor(m)))
+    assert verify.check_paths_identity(6).passed
+    result = verify.check_determinant_routes()
+    assert not result.passed
+    assert result.detail == "counterexample: R = (0, 1), n = 1"
+
+
+def test_paths_check_fails_on_a_shifted_path_matrix(monkeypatch):
+    def shifted(r, n):
+        k = len(r)
+        return [[math.comb(r[i], n + 1 - r[k - 1 - j]) for j in range(k)] for i in range(k)]
+
+    monkeypatch.setattr(verify, "_path_matrix", shifted)
+    result = verify.check_paths_identity()
+    assert not result.passed
+    assert result.detail == "counterexample: (n, k) = (0, 1)"
+
+
+def test_transfer_check_fails_on_swapped_steps(monkeypatch):
+    up, down = verify.UP, verify.DOWN
+    monkeypatch.setattr(verify, "UP", down)
+    monkeypatch.setattr(verify, "DOWN", up)
+    result = verify.check_fence_transfer()
+    assert not result.passed
+    assert result.detail == "counterexample: m = 1"
