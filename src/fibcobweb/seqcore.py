@@ -5,7 +5,8 @@ Everything is computed over Python's arbitrary-precision integers; divisions
 are checked for zero remainder so an indexing-convention slip fails loudly
 instead of silently truncating. Indexing is fixed at F_0 = 0, F_1 = F_2 = 1.
 Fibonomials are products of primitive parts of Fibonacci numbers, so they
-need no division of big products.
+need no division of big products. A primitive part is computed the first
+time a Fibonomial needs it and memoised; parts no call needs are never built.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 import threading
 
 _fib_cache = [0, 1]
-# _prim_cache[d] is the primitive part P_d of F_d, with F_n the product of
-# P_d over the divisors d of n; index 0 is unused.
-_prim_cache = [0, 1]
 _fib_lock = threading.Lock()
+# _prim_cache[d] is the primitive part P_d of F_d, with F_n the product of
+# P_d over the divisors d of n. A value depends on d alone, so threads that
+# race on one d store equal values, and the memo needs no lock.
+_prim_cache = {1: 1}
 
 
 def exact_div(a: int, b: int) -> int:
@@ -65,28 +67,20 @@ def f_falling(n: int, k: int) -> int:
     return _balanced(_fib_cache[n - k + 1 : n + 1])
 
 
-def _primitive_parts(n: int) -> list:
-    """The primitive-part table, grown to cover P_0 .. P_n.
-
-    New entries start as F_d and are divided by P_e for each proper divisor
-    e of d. The outer loop runs over e in increasing order, so every P_e is
-    final before it divides anything, and entries already in the table are
-    neither recomputed nor divided again. They are appended only once final,
-    so the table can be read without the lock.
-    """
-    if len(_prim_cache) <= n:
-        fib(n)
-        with _fib_lock:
-            old = len(_prim_cache)
-            new = _fib_cache[old : n + 1]  # new[d - old] becomes P_d
-            for e in range(2, n // 2 + 1):
-                p = _prim_cache[e] if e < old else new[e - old]
-                if p == 1:
-                    continue
-                for d in range(max(2 * e, -(-old // e) * e), n + 1, e):
-                    new[d - old] = exact_div(new[d - old], p)
-            _prim_cache.extend(new)
-    return _prim_cache
+def _primitive_part(d: int) -> int:
+    """P_d, memoised: F_d divided by the product of P_e over the proper
+    divisors e of d, found by trial division up to √d. Each e is at most
+    d / 2, so the recursion depth is at most log₂ d."""
+    p = _prim_cache.get(d)
+    if p is None:
+        below = []
+        for e in range(2, math.isqrt(d) + 1):
+            if d % e == 0:
+                below.append(_primitive_part(e))
+                if e * e != d:
+                    below.append(_primitive_part(d // e))
+        p = _prim_cache[d] = exact_div(fib(d), _balanced(below))
+    return p
 
 
 def fibonomial(n: int, k: int) -> int:
@@ -101,8 +95,10 @@ def fibonomial(n: int, k: int) -> int:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
     if k > n:
         return 0
-    parts = _primitive_parts(n)
-    return _balanced([parts[d] for d in range(2, n + 1) if n % d < k % d])
+    get = _prim_cache.get  # a memo hit skips the call
+    return _balanced(
+        [get(d) or _primitive_part(d) for d in range(2, n + 1) if n % d < k % d]
+    )
 
 
 VARIANTS = ("A", "B")
@@ -133,7 +129,8 @@ def fibonomial_rec(n: int, k: int, variant: str = "A") -> int:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    F = [fib(i) for i in range(n + 2)]
+    fib(n + 1)  # the table only grows, so F below needs no lock
+    F = _fib_cache
     if variant == "A":
         return _triangle(
             n, k, lambda i, j, up, left: F[j - 1] * up + F[i + 1 - j] * left, 1, 0

@@ -30,7 +30,7 @@ from itertools import product
 from typing import Dict, Optional, Tuple
 
 from .cobweb import VertexCoord
-from .guards import ensure_within
+from .guards import _shown, ensure_within
 from .seqcore import f_falling, fib
 
 ChainTuple = Tuple[int, ...]
@@ -69,7 +69,7 @@ def _validate(k: int, r: int, m: int) -> None:
     if k < 1:
         raise ValueError(f"root level must be >= 1, got {k}")
     if not 1 <= r <= fib(k):
-        raise ValueError(f"root position {r} out of range 1..{fib(k)} at level {k}")
+        raise ValueError(f"root position {r} out of range 1..{_shown(fib(k))} at level {k}")
     if m < 1:
         raise ValueError(f"height must be >= 1, got {m}")
 

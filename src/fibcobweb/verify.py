@@ -787,8 +787,8 @@ UP = ((1, 1), (0, 1))  # odd i, x_i < x_{i+1}: including x_{i+1} forces x_i in
 DOWN = ((1, 0), (1, 1))  # even i, x_{i+1} < x_i: including x_i forces x_{i+1} in
 
 
-def _count_closed(m: int, up_closed: bool, unsafe_limits: bool) -> int:
-    ensure_within("fence oracle size", m, ORACLE_LIMIT, unsafe_limits)
+def _count_closed(m: int, up_closed: bool) -> int:
+    ensure_within("fence oracle size", m, ORACLE_LIMIT)
     # (lower, upper) pairs of x_1 < x_2 > x_3 < ...: odd i points up
     covers = [(i, i + 1) if i % 2 else (i + 1, i) for i in range(1, m)]
     count = 0
@@ -809,14 +809,14 @@ def _count_closed(m: int, up_closed: bool, unsafe_limits: bool) -> int:
     return count
 
 
-def count_ideals_oracle(m: int, unsafe_limits: bool = False) -> int:
+def count_ideals_oracle(m: int) -> int:
     """Brute force over all 2^m subsets, counting the down-closed ones."""
-    return _count_closed(m, up_closed=False, unsafe_limits=unsafe_limits)
+    return _count_closed(m, up_closed=False)
 
 
-def count_filters_oracle(m: int, unsafe_limits: bool = False) -> int:
+def count_filters_oracle(m: int) -> int:
     """Brute force over all 2^m subsets, counting the up-closed ones."""
-    return _count_closed(m, up_closed=True, unsafe_limits=unsafe_limits)
+    return _count_closed(m, up_closed=True)
 
 
 def check_fence_oracle(max_m: int = 15) -> CheckResult:

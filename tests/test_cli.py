@@ -301,6 +301,16 @@ def test_tiling_guard_message_is_short(capsys):
     assert len(err.encode()) < 200
 
 
+def test_tiling_root_position_message_is_short(capsys):
+    # the bound F_5000 has 1045 digits
+    code, out, err = run(capsys, "tiling", "5000", "0", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "1045-digit" in err
+    assert len(err) < 100
+
+
 def test_tiling_oversized_instance_rejected_quickly(capsys):
     code, _, err = run(capsys, "tiling", "1", "1", "12")
     assert code == 3

@@ -93,15 +93,30 @@ def test_no_factorial_table_is_kept():
 
 
 def test_primitive_parts_multiply_to_fibonacci_numbers():
-    parts = seqcore._primitive_parts(500)
     for n in range(1, 501):
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        assert math.prod(parts[d] for d in divisors) == fib(n)
+        assert math.prod(seqcore._primitive_part(d) for d in divisors) == fib(n)
+
+
+def test_small_k_builds_only_the_parts_it_needs():
+    # fibonomial(20000, 2) multiplies the parts at the divisors of 20000 and
+    # 19999; the memo holds those and the parts of their divisors
+    code = (
+        "from fibcobweb import seqcore\n"
+        "seqcore.fibonomial(20000, 2)\n"
+        "print(len(seqcore._prim_cache))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
 
 
 def test_primitive_part_table_grows_from_its_length():
-    # a sieve that recomputes or skips the entries already in the table
-    # gives wrong parts (or an inexact division) on the second or third call
+    # the later calls read parts the earlier ones memoised and compute the
+    # rest from them; a memo that stored a wrong or unfinished part gives a
+    # wrong Fibonomial (or an inexact division) on the second or third call
     code = (
         "from fibcobweb.seqcore import f_factorial, f_falling, fibonomial\n"
         "for n, k in ((10, 5), (300, 150), (50, 20)):\n"
@@ -115,9 +130,10 @@ def test_primitive_part_table_grows_from_its_length():
 
 
 def test_primitive_part_table_grows_under_threads():
-    # Readers skip the lock and ask for sizes just below the one being
-    # added, so a table that showed entries before they were final would
-    # give them wrong Fibonomials.
+    # The memo is read and written without a lock. The three readers ask
+    # for the same frontier size at once, so they race on the same parts
+    # that no thread has computed yet; a memo that showed a part before it
+    # was final, or stored a wrong one, would give them wrong Fibonomials.
     code = (
         "import sys, threading\n"
         "from fibcobweb.seqcore import f_factorial, f_falling, fibonomial\n"
@@ -179,8 +195,8 @@ def test_fibonomial_symmetry():
 
 
 def test_fibonomial_division_always_exact():
-    # the primitive-part sieve divides with exact_div; this sweep would raise
-    # on any drift
+    # each primitive part is F_d divided with exact_div by the parts below
+    # it; this sweep would raise on any drift
     for n in range(201):
         for k in range(n + 1):
             fibonomial(n, k)
