@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Dict, Optional, Tuple
+from itertools import product, repeat
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .cobweb import VertexCoord
 from .guards import _shown, ensure_within
@@ -38,9 +38,9 @@ ChainTuple = Tuple[int, ...]
 UNIVERSE_LIMIT = 10**4
 
 
-@dataclass(frozen=True)
-class CopySpec:
-    """One shifted copy: root coordinate plus chosen positions per level above."""
+class CopySpec(NamedTuple):
+    """One shifted copy, the pair (root, chosen): root coordinate plus chosen
+    positions per level above."""
 
     root: VertexCoord
     chosen: Tuple[Tuple[int, ...], ...]  # sorted positions at levels root.s + 1 ..
@@ -110,12 +110,12 @@ def find_tiling(
     """
     if _reason_after_guards(k, r, m, unsafe_limits):
         return None
-    blocks = [
-        [tuple(range(i, i + fib(s))) for i in range(1, fib(k + s) + 1, fib(s))]
-        for s in range(1, m + 1)
-    ]
+    blocks = []
+    for s in range(1, m + 1):
+        size = fib(s)
+        blocks.append([tuple(range(i, i + size)) for i in range(1, fib(k + s) + 1, size)])
     root = VertexCoord(r, k)
-    return TilingSolution(root, m, tuple(CopySpec(root, chosen) for chosen in product(*blocks)))
+    return TilingSolution(root, m, tuple(map(CopySpec, repeat(root), product(*blocks))))
 
 
 def _pair_tilings(a: int, b: int, c: int) -> int:

@@ -203,6 +203,30 @@ def test_find_tiling_deeper_than_the_recursion_limit():
     assert verify_tiling(solution)
 
 
+def test_a_copy_is_its_root_and_chosen_subsets():
+    assert CopySpec._fields == ("root", "chosen")
+    copy = find_tiling(3, 1, 2).copies[0]
+    assert copy == (VertexCoord(1, 3), ((1,), (1,)))
+    root, chosen = copy
+    assert (root, chosen) == (copy.root, copy.chosen)
+    assert copy.height == 2
+    with pytest.raises(AttributeError):
+        copy.root = VertexCoord(2, 3)
+
+
+@pytest.mark.parametrize("k, m", [(7, 2), (6, 3)])
+def test_find_tiling_looks_up_each_block_size_once(monkeypatch, k, m):
+    calls = []
+
+    def counting_fib(n):
+        calls.append(n)
+        return fib(n)
+
+    monkeypatch.setattr(tiling, "fib", counting_fib)
+    assert find_tiling(k, 1, m) is not None
+    assert len(calls) <= 2 * m + 1  # F_k, then F_s and F_{k+s} per level
+
+
 def test_verify_tiling_rejects_tampering():
     solution = find_tiling(3, 1, 2)
     assert verify_tiling(solution)
