@@ -624,6 +624,11 @@ def main(argv: list[str] | None = None) -> int:
         except MemoryError:
             print("guard exceeded: out of memory", file=sys.stderr)
             return 3
+        except OverflowError as exc:
+            # an ArithmeticError, but raised for a size no list can hold, such
+            # as a dense build at N = 100 under --unsafe-limits
+            print(f"guard exceeded: {exc}", file=sys.stderr)
+            return 3
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -15,16 +15,22 @@ levels) and the Mobius matrix from these level values; chain counts are read
 off the level formula. The explicit Kronecker-delta expansion builds the
 order-indicator matrix without the level layout, the independent route
 `verify` compares the first with. Both copy each row once out of one buffer
-per level, so a build peaks at about the matrix it returns. The dense product
-zeta * mobius and the brute-force chain count live in `verify`.
+per level, so a build peaks at about the matrix it returns. The Mobius matrix
+and the chain-count prefix products are cached for the last height asked
+for, because queries read them once per entry; the order-indicator matrices
+are built afresh on each call. The poset and its matrices are frozen
+dataclasses. The dense product zeta * mobius and the brute-force chain count
+live in `verify`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import index
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .guards import ensure_within
@@ -33,8 +39,8 @@ from .seqcore import exact_div, f_falling, fib
 ENUMERATION_LIMIT = 10**6
 # Dense matrices hold dim^2 entries and a build peaks at about one matrix: at
 # N = 15 (dimension 1596) about 20 MB. N = 16 (2583) is refused.
-# The builders test the dimension inline before calling the guard, because
-# warm callers ask for the cached matrix once per entry they read.
+# `mobius` tests the dimension inline before calling the guard, because warm
+# callers ask for its cached matrix once per entry they read.
 DENSE_LIMIT = 2000
 
 
@@ -45,32 +51,22 @@ class VertexCoord(NamedTuple):
     s: int
 
 
+@dataclass(frozen=True, slots=True)
 class CobwebPoset:
     """Immutable cobweb poset truncated to levels 1..max_level."""
 
-    __slots__ = ("max_level", "level_sizes", "level_starts", "vertex_count")
+    max_level: int
+    level_sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    level_starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    vertex_count: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, max_level: int):
-        if max_level < 1:
-            raise ValueError(f"max_level must be >= 1, got {max_level}")
-        sizes = tuple(fib(s) for s in range(1, max_level + 1))
-        starts = tuple(fib(s + 1) for s in range(1, max_level + 1))
-        object.__setattr__(self, "max_level", max_level)
-        object.__setattr__(self, "level_sizes", sizes)
-        object.__setattr__(self, "level_starts", starts)
-        object.__setattr__(self, "vertex_count", fib(max_level + 2) - 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CobwebPoset is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CobwebPoset) and other.max_level == self.max_level
-
-    def __hash__(self) -> int:
-        return hash(("CobwebPoset", self.max_level))
-
-    def __repr__(self) -> str:
-        return f"CobwebPoset(max_level={self.max_level})"
+    def __post_init__(self):
+        if self.max_level < 1:
+            raise ValueError(f"max_level must be >= 1, got {self.max_level}")
+        levels = range(1, self.max_level + 1)
+        object.__setattr__(self, "level_sizes", tuple(fib(s) for s in levels))
+        object.__setattr__(self, "level_starts", tuple(fib(s + 1) for s in levels))
+        object.__setattr__(self, "vertex_count", fib(self.max_level + 2) - 1)
 
     def _check_index(self, x: int) -> None:
         if not 1 <= x <= self.vertex_count:
@@ -129,19 +125,17 @@ def build(max_level: int) -> CobwebPoset:
     return CobwebPoset(max_level)
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class IncMatrix:
     """Immutable square integer matrix with 1-based accessors."""
 
-    __slots__ = ("rows",)
+    rows: Tuple[Tuple[int, ...], ...]
 
-    def __init__(self, rows):
-        frozen = tuple(tuple(int(v) for v in row) for row in rows)
-        if any(len(row) != len(frozen) for row in frozen):
+    def __post_init__(self):
+        rows = tuple(tuple(index(v) for v in row) for row in self.rows)
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", frozen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IncMatrix is immutable")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim(self) -> int:
@@ -151,12 +145,6 @@ class IncMatrix:
         if not (1 <= x <= self.dim and 1 <= y <= self.dim):
             raise ValueError(f"entry ({x}, {y}) out of range 1..{self.dim}")
         return self.rows[x - 1][y - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IncMatrix) and other.rows == self.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"IncMatrix(dim={self.dim})"
@@ -199,32 +187,6 @@ def _level_rows(p: CobwebPoset, between) -> IncMatrix:
 
 
 @lru_cache(maxsize=1)
-def _zeta_from_order(max_level: int) -> IncMatrix:
-    p = CobwebPoset(max_level)
-    first = p.level_starts
-    return _level_rows(p, lambda s, t: int(p.leq(first[s - 1], first[t - 1])))
-
-
-@lru_cache(maxsize=1)
-def _zeta_explicit(max_level: int) -> IncMatrix:
-    n = CobwebPoset(max_level).vertex_count
-    rows = []
-    for s in range(1, max_level + 1):
-        start, end = fib(s + 1), fib(s + 2) - 1  # level s, 1-based
-        # First summand: 1 whenever y = x + k for some k >= 0, truncated at
-        # the matrix dimension; its tail past level s is the level's to share.
-        row = [0] * end + [1] * (n - end)
-        for x in range(start, end + 1):
-            row[x - 1 : end] = [1] * (end - x + 1)
-            # Subtracted summand: for x = F_{s+1} + k it clears y = x + r,
-            # 1 <= r <= F_s - k - 1, the 0-based columns x .. end - 1.
-            row[x:end] = [v - 1 for v in row[x:end]]
-            rows.append(tuple(row))
-            row[x - 1] = 0
-    return _frozen(rows)
-
-
-@lru_cache(maxsize=1)
 def _mobius(max_level: int) -> IncMatrix:
     p = CobwebPoset(max_level)
     sizes = p.level_sizes
@@ -245,16 +207,29 @@ def _chain_prefix(max_level: int) -> Tuple[int, ...]:
 def zeta_from_order(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     """Order-indicator matrix built from the comparability predicate, applied
     once per pair of levels through the row builder shared with `mobius`."""
-    if p.vertex_count > DENSE_LIMIT:
-        ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
-    return _zeta_from_order(p.max_level)
+    ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
+    first = p.level_starts
+    return _level_rows(p, lambda s, t: int(p.leq(first[s - 1], first[t - 1])))
 
 
 def zeta_explicit(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     """Order-indicator matrix built from the Kronecker-delta expansion."""
-    if p.vertex_count > DENSE_LIMIT:
-        ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
-    return _zeta_explicit(p.max_level)
+    ensure_within("matrix dimension", p.vertex_count, DENSE_LIMIT, unsafe_limits)
+    n = p.vertex_count
+    rows = []
+    for s in range(1, p.max_level + 1):
+        start, end = fib(s + 1), fib(s + 2) - 1  # level s, 1-based
+        # First summand: 1 whenever y = x + k for some k >= 0, truncated at
+        # the matrix dimension; its tail past level s is the level's to share.
+        row = [0] * end + [1] * (n - end)
+        for x in range(start, end + 1):
+            row[x - 1 : end] = [1] * (end - x + 1)
+            # Subtracted summand: for x = F_{s+1} + k it clears y = x + r,
+            # 1 <= r <= F_s - k - 1, the 0-based columns x .. end - 1.
+            row[x:end] = [v - 1 for v in row[x:end]]
+            rows.append(tuple(row))
+            row[x - 1] = 0
+    return _frozen(rows)
 
 
 def mobius(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:

@@ -1,5 +1,6 @@
 """Exact Fibonacci arithmetic: F-factorials, F-falling-factorials, Fibonomial
-coefficients, and Gaussian q-binomial polynomials.
+coefficients, and Gaussian q-binomial polynomials, returned as an
+`IntPolynomial` that holds its coefficients and offers `+` and `evaluate`.
 
 Everything is computed over Python's arbitrary-precision integers; divisions
 are checked for zero remainder so an indexing-convention slip fails loudly
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 
 _fib_cache = [0, 1]
 _fib_lock = threading.Lock()
@@ -141,59 +143,28 @@ def fibonomial_rec(n: int, k: int, variant: str = "A") -> int:
     )
 
 
-class IntPolynomial:
+class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     """Immutable dense integer polynomial in one variable, the value that
     `q_binomial` returns; not a general polynomial ring.
 
-    Coefficients are stored lowest power first with trailing zeros stripped;
-    the zero polynomial has degree -1.
+    Coefficients are stored lowest power first with trailing zeros stripped,
+    so the zero polynomial has no coefficients. A named tuple rather than a
+    frozen dataclass, because `cobweb fibonomial` loads this module and
+    importing `dataclasses` (which imports `inspect`) would slow its start-up.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
         cs = list(coeffs)
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def _of_ints(cls, cs: list) -> "IntPolynomial":
-        """Wraps int coefficients built in this module (a sum, or the last row
-        of `q_binomial`'s sweep), stripping trailing zeros in place but
-        skipping the per-coefficient type check of the public constructor."""
-        while cs and cs[-1] == 0:
-            cs.pop()
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(cs))
-        return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return super().__new__(cls, tuple(cs))
 
     def __add__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -202,30 +173,13 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial._of_ints(out)
-
-    __radd__ = __add__
+        return IntPolynomial(out)
 
     def evaluate(self, x: int) -> int:
         value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "IntPolynomial(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*q" if c != 1 else "q")
-            else:
-                terms.append(f"{c}*q^{i}" if c != 1 else f"q^{i}")
-        return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
 def q_binomial(n: int, k: int) -> IntPolynomial:
@@ -237,7 +191,7 @@ def q_binomial(n: int, k: int) -> IntPolynomial:
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    return IntPolynomial._of_ints(_triangle(n, k, _q_pascal_step, [1], []))
+    return IntPolynomial(_triangle(n, k, _q_pascal_step, [1], []))
 
 
 def _q_pascal_step(i: int, j: int, up: list, left: list) -> list:

@@ -81,19 +81,19 @@ def s_coeff(w: Iterable[int], k: int) -> int:
     return row[k]
 
 
-def c_coeff_oracle(w: Iterable[int], k: int, unsafe_limits: bool = False) -> int:
+def c_coeff_oracle(w: Iterable[int], k: int) -> int:
     """Brute-force enumeration of all strictly increasing index tuples."""
     ws = _coerce(w)
-    ensure_within("oracle weight count", len(ws), ORACLE_LIMIT, unsafe_limits)
-    ensure_within("oracle k", k, ORACLE_LIMIT, unsafe_limits)
+    ensure_within("oracle weight count", len(ws), ORACLE_LIMIT)
+    ensure_within("oracle k", k, ORACLE_LIMIT)
     return sum(math.prod(t) for t in combinations(ws, k))
 
 
-def s_coeff_oracle(w: Iterable[int], k: int, unsafe_limits: bool = False) -> int:
+def s_coeff_oracle(w: Iterable[int], k: int) -> int:
     """Brute-force enumeration of all nondecreasing index tuples."""
     ws = _coerce(w)
-    ensure_within("oracle weight count", len(ws), ORACLE_LIMIT, unsafe_limits)
-    ensure_within("oracle k", k, ORACLE_LIMIT, unsafe_limits)
+    ensure_within("oracle weight count", len(ws), ORACLE_LIMIT)
+    ensure_within("oracle k", k, ORACLE_LIMIT)
     if k >= 1 and not ws:
         raise ValueError("empty weight vector with k >= 1")
     return sum(math.prod(t) for t in combinations_with_replacement(ws, k))

@@ -263,6 +263,25 @@ def test_out_of_memory_exits_3_without_traceback(argv):
     assert proc.stderr == overridden + "guard exceeded: out of memory\n"
 
 
+@pytest.mark.parametrize("argv", [["mobius", "100"], ["zeta", "100", "--explicit"]])
+def test_a_dense_build_past_any_list_size_exits_3_without_traceback(argv):
+    # The height-100 poset has F_102 - 1 > 2**63 vertices, so the first row
+    # buffer raises OverflowError, an ArithmeticError, before allocating.
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", *argv, "--unsafe-limits"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "warning: desk-scale guards overridden (--unsafe-limits)",
+        "guard exceeded: cannot fit 'int' into an index-sized integer",
+    ]
+
+
 def test_chains_guard_refuses_a_high_target_level():
     proc = subprocess.run(
         [sys.executable, "-m", "fibcobweb", "chains", "1", "20000"],

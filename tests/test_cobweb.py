@@ -312,6 +312,12 @@ def test_incmatrix_basics():
     assert _dense_product(m.rows, ((1, -2), (0, 1))) == [[1, 0], [0, 1]]
 
 
+def test_incmatrix_rejects_non_integer_entries():
+    for rows in ([[1.5, 2.9], [0, 1]], [[1, 2], [0, "1"]]):
+        with pytest.raises(TypeError):
+            IncMatrix(rows)
+
+
 def test_internal_builds_match_the_checked_constructor():
     # The builders skip the public constructor's per-entry conversion; their
     # rows must still be square tuples of plain ints.
@@ -331,12 +337,8 @@ def test_a_cold_dense_build_peaks_at_about_the_matrix_it_returns():
     # Each row is copied once out of a per-level buffer; holding every row
     # twice (lists, then tuples) would peak at twice the matrix.
     p = build(12)
-    for builder, cached in (
-        (zeta_from_order, cobweb._zeta_from_order),
-        (zeta_explicit, cobweb._zeta_explicit),
-        (mobius, cobweb._mobius),
-    ):
-        cached.cache_clear()
+    cobweb._mobius.cache_clear()
+    for builder in (zeta_from_order, zeta_explicit, mobius):
         tracemalloc.start()
         try:
             m = builder(p)

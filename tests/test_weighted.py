@@ -82,7 +82,6 @@ def test_oracle_guards():
         c_coeff_oracle((1,) * 13, 2)
     with pytest.raises(GuardExceeded):
         s_coeff_oracle((1, 2), 13)
-    assert c_coeff_oracle((1,) * 13, 2, unsafe_limits=True) == math.comb(13, 2)
 
 
 def test_coefficients_reject_negative_k():
