@@ -18,15 +18,15 @@ order-indicator matrix without the level layout, the independent route
 per level, so a build peaks at about the matrix it returns. The Mobius matrix
 and the chain-count prefix products are cached for the last height asked
 for, because queries read them once per entry; the order-indicator matrices
-are built afresh on each call. The poset and its matrices are frozen
-dataclasses. The dense product zeta * mobius and the brute-force chain count
-live in `verify`.
+are built afresh on each call. The poset and its matrices are frozen slotted
+classes, not dataclasses: importing `dataclasses` (and `inspect`) would add
+about 10 ms to the start-up of every poset command. The dense product
+zeta * mobius and the brute-force chain count live in `verify`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -51,22 +51,45 @@ class VertexCoord(NamedTuple):
     s: int
 
 
-@dataclass(frozen=True, slots=True)
-class CobwebPoset:
+class _Frozen:
+    """Value type whose `__init__` alone sets slots, via object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CobwebPoset(_Frozen):
     """Immutable cobweb poset truncated to levels 1..max_level."""
 
-    max_level: int
-    level_sizes: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    level_starts: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    vertex_count: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("max_level", "level_sizes", "level_starts", "vertex_count")
 
-    def __post_init__(self):
-        if self.max_level < 1:
-            raise ValueError(f"max_level must be >= 1, got {self.max_level}")
-        levels = range(1, self.max_level + 1)
+    def __init__(self, max_level: int):
+        if max_level < 1:
+            raise ValueError(f"max_level must be >= 1, got {max_level}")
+        levels = range(1, max_level + 1)
+        object.__setattr__(self, "max_level", max_level)
         object.__setattr__(self, "level_sizes", tuple(fib(s) for s in levels))
         object.__setattr__(self, "level_starts", tuple(fib(s + 1) for s in levels))
-        object.__setattr__(self, "vertex_count", fib(self.max_level + 2) - 1)
+        object.__setattr__(self, "vertex_count", fib(max_level + 2) - 1)
+
+    def __repr__(self) -> str:
+        return f"CobwebPoset(max_level={self.max_level!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not CobwebPoset:
+            return NotImplemented
+        return self.max_level == other.max_level
+
+    def __hash__(self) -> int:
+        return hash((self.max_level,))
+
+    def __reduce__(self):
+        return CobwebPoset, (self.max_level,)
 
     def _check_index(self, x: int) -> None:
         if not 1 <= x <= self.vertex_count:
@@ -125,17 +148,27 @@ def build(max_level: int) -> CobwebPoset:
     return CobwebPoset(max_level)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class IncMatrix:
+class IncMatrix(_Frozen):
     """Immutable square integer matrix with 1-based accessors."""
 
-    rows: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(index(v) for v in row) for row in self.rows)
+    def __init__(self, rows: Tuple[Tuple[int, ...], ...]):
+        rows = tuple(tuple(index(v) for v in row) for row in rows)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not IncMatrix:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __reduce__(self):
+        return IncMatrix, (self.rows,)
 
     @property
     def dim(self) -> int:

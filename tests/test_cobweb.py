@@ -1,3 +1,5 @@
+import copy
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +9,7 @@ import pytest
 
 from fibcobweb import cobweb
 from fibcobweb.cobweb import (
+    CobwebPoset,
     IncMatrix,
     VertexCoord,
     build,
@@ -299,6 +302,20 @@ def test_poset_equality_and_immutability():
     assert hash(build(4)) == hash(build(4))
     with pytest.raises(AttributeError):
         build(3).max_level = 7
+
+
+@pytest.mark.parametrize("value", [build(4), mobius(build(3))], ids=repr)
+def test_poset_and_matrix_pickle_and_copy_by_value(value):
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+
+
+def test_poset_and_matrix_compare_and_print_by_value():
+    assert CobwebPoset(4) != CobwebPoset(5)
+    assert CobwebPoset(4) != 4
+    assert hash(CobwebPoset(4)) == hash(build(4))
+    assert repr(CobwebPoset(max_level=4)) == "CobwebPoset(max_level=4)"
+    assert repr(zeta_from_order(build(3))) == "IncMatrix(dim=4)"
 
 
 def test_incmatrix_basics():

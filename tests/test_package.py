@@ -41,9 +41,16 @@ def test_a_command_loads_only_what_it_runs():
     layers = MODULES - {"__main__", "cli", "guards", "seqcore"}
     unwanted = {f"fibcobweb.{m}" for m in layers} | {"dataclasses", "json", "csv"}
     assert not loaded & unwanted
-    loaded = _loaded_by("mobius", "5")
-    assert "fibcobweb.cobweb" in loaded
-    assert not loaded & {"fibcobweb.tiling", "fibcobweb.verify"}
+    for argv in (
+        ("mobius", "5"),
+        ("zeta", "5", "--check"),
+        ("hasse", "3", "--format", "dot"),
+        ("chains", "2", "5", "--enumerate"),
+    ):
+        loaded = _loaded_by(*argv)
+        assert "fibcobweb.cobweb" in loaded, argv
+        unwanted = {"fibcobweb.tiling", "fibcobweb.verify", "dataclasses", "inspect"}
+        assert not loaded & unwanted, argv
     # a guard or usage refusal comes before the poset layer is loaded
     for argv, exit_code in (
         (("mobius", "13"), 3),
@@ -149,3 +156,7 @@ def test_value_types_are_frozen_and_hash_by_value(make, field):
     assert hash(a) == hash(b)
     with pytest.raises(AttributeError):
         setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.other = 1
+    with pytest.raises(AttributeError):
+        delattr(a, field)
