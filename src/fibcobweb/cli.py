@@ -1,11 +1,12 @@
 """Command-line front end: every computation behind one `cobweb` command.
 
-Results go to stdout (or --out), diagnostics to stderr. Exit codes: 0 on
-success, 1 on verification failure, 2 on usage errors, 3 when a desk-scale
-guard is exceeded (override with --unsafe-limits) or memory runs out (one
-stderr line, no traceback). Numbers are emitted as
-exact decimal strings; output for a fixed invocation is byte-identical
-across runs.
+The argparse tree is the command table: each subparser sets args.run to
+its handler, and a graph-producing one sets args.dot. Results go to stdout
+(or --out), diagnostics to stderr. Exit codes: 0 on success, 1 on
+verification failure, 2 on usage errors, 3 when a desk-scale guard is
+exceeded (override with --unsafe-limits) or memory runs out (one stderr
+line, no traceback). Numbers are emitted as exact decimal strings; output
+for a fixed invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ TEXT_MATRIX_LIMIT = 12
 HASSE_LIMIT = 10
 # `chains 1 N` takes about 1 s at N = 2500: the count has about 0.35 N^2 bits.
 CHAINS_LIMIT = 2500
+# `konvalina` makes a row of k + 1 cells, then sweeps it once per weight: a
+# multiply-add on up to k log2(max w) + min(n, k) log2(n + k) bits per cell,
+# plus a loop step worth about KONVALINA_CELL_BITS bits. A call at the limit
+# takes about 1 s: geometric:400:3 at k = 200 estimates 1.3e10 and took
+# 0.94 s (first kind) and 2.32 s (second kind) on Python 3.11, 2 vCPUs.
+KONVALINA_LIMIT = 10**10
+KONVALINA_CELL_BITS = 512
 # verify.SUITE_NAMES, spelled out so that building the parser does not load
 # every layer; tests/test_verify.py pins the two equal.
 VERIFY_SUITES = ("arith", "poset", "tiling", "paths", "fence", "all")
@@ -60,39 +68,45 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="override desk-scale guards (prints a warning)",
     )
+    common.set_defaults(dot=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fibonomial", parents=[common], help="Fibonomial coefficients")
+    def command(name, run, summary, **defaults):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run, **defaults)
+        return p
+
+    p = command("fibonomial", _cmd_fibonomial, "Fibonomial coefficients")
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("k", type=int, nargs="?")
     p.add_argument("--triangle", type=int, metavar="ROWS", help="print rows 0..ROWS")
 
-    p = sub.add_parser("zeta", parents=[common], help="order-indicator matrix")
+    p = command("zeta", _cmd_zeta, "order-indicator matrix")
     p.add_argument("n", type=int)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--explicit", action="store_true", help="delta-expansion build")
     group.add_argument("--order", action="store_true", help="comparability build (default)")
     group.add_argument("--check", action="store_true", help="build both ways and compare")
 
-    p = sub.add_parser("mobius", parents=[common], help="Mobius matrix")
+    p = command("mobius", _cmd_mobius, "Mobius matrix")
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("chains", parents=[common], help="maximal chains between levels")
+    p = command("chains", _cmd_chains, "maximal chains between levels")
     p.add_argument("k", type=int, help="start level (first vertex of the level)")
     p.add_argument("n", type=int, help="target level")
     p.add_argument("--enumerate", action="store_true", help="list the chains")
 
-    p = sub.add_parser("tiling", parents=[common], help="max-disjoint copy tiling")
+    p = command("tiling", _cmd_tiling, "max-disjoint copy tiling")
     p.add_argument("k", type=int, help="root level")
     p.add_argument("r", type=int, help="root position within level k")
     p.add_argument("m", type=int, help="copy height")
     p.add_argument("--count-all", action="store_true", help="count every tiling")
 
-    p = sub.add_parser("gv", parents=[common], help="path-determinant Fibonomial sum")
+    p = command("gv", _cmd_gv, "path-determinant Fibonomial sum")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
 
-    p = sub.add_parser("konvalina", parents=[common], help="weighted-box coefficients")
+    p = command("konvalina", _cmd_konvalina, "weighted-box coefficients")
     p.add_argument("kind", choices=("first", "second"))
     p.add_argument("k", type=int)
     group = p.add_mutually_exclusive_group(required=True)
@@ -103,13 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ones:N, arithmetic:N, or geometric:N:Q",
     )
 
-    p = sub.add_parser("fence", parents=[common], help="fence-poset ideal count")
+    p = command("fence", _cmd_fence, "fence-poset ideal count")
     p.add_argument("m", type=int)
 
-    p = sub.add_parser("hasse", parents=[common], help="Hasse diagram export")
+    p = command("hasse", _cmd_hasse, "Hasse diagram export", dot=True)
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("verify", parents=[common], help="run self-verification suites")
+    p = command("verify", _cmd_verify, "run self-verification suites")
     p.add_argument(
         "--suite", choices=VERIFY_SUITES, default="all", help="suite to run"
     )
@@ -208,6 +222,7 @@ class _Output:
     """Rendered output destined for stdout or --out."""
 
     def __init__(self, args):
+        self.command = args.command
         self.format = args.format
         self.path = args.out
 
@@ -224,29 +239,29 @@ class _Output:
         except OSError as exc:
             raise ValueError(f"cannot write --out: {exc}") from exc
 
-    def emit(self, command: str, inputs: dict, result, rows, text=None, dot=None) -> None:
-        """Write the --format representation. result (the JSON record's
-        result), rows (the result as rows of cells), text (lines) and dot
-        are zero-argument callables; only those the chosen format needs are
-        called. A cell is an int, printed through decimal_str, or a str (not
-        a bool, which would share a table entry with 0 or 1); each row is a
-        sequence. CSV is the rows; text is the lines a command gives, else
-        the rows with cells space-separated. main admits --format dot only
-        for commands that pass dot."""
+    def emit(self, inputs: dict, result, rows, text=None, dot=None) -> None:
+        """Write the --format representation of args.command's result.
+        result (the JSON record's result), rows (the result as rows of
+        cells), text and dot (lines) are zero-argument callables; only those
+        the chosen format needs are called. A cell is an int, printed
+        through decimal_str, or a str (not a bool, which would share a table
+        entry with 0 or 1); each row is a sequence. CSV is the rows; text is
+        the lines a command gives, else the rows with cells space-separated.
+        The parser is the command table: only a subparser that sets dot
+        admits --format dot, and its handler passes dot."""
+        lines = dot if self.format == "dot" else text
         if self.format == "json":
             import json
 
             record = {
-                "command": command,
+                "command": self.command,
                 "inputs": inputs,
                 "result": result(),
                 "version": __version__,
             }
             self.write([json.dumps(_stringify(record), sort_keys=True) + "\n"])
-        elif self.format == "dot":
-            self.write([dot()])
-        elif self.format == "text" and text is not None:
-            self.write(["\n".join(text()) + "\n"])
+        elif self.format != "csv" and lines is not None:
+            self.write(["\n".join(lines()) + "\n"])
         else:
             self.write(self._row_chunks(rows()))
 
@@ -282,9 +297,9 @@ class _Output:
         if lines:
             yield "".join(lines)
 
-    def emit_value(self, command: str, inputs: dict, value) -> None:
+    def emit_value(self, inputs: dict, value) -> None:
         """One number: the text line, the CSV row and the JSON result."""
-        self.emit(command, inputs, lambda: value, lambda: [[value]])
+        self.emit(inputs, lambda: value, lambda: [[value]])
 
 
 def _coord_text(v) -> str:
@@ -311,9 +326,9 @@ def _cmd_fibonomial(args, out: _Output) -> int:
         rows = [[fibonomial(args.n, k) for k in range(args.n + 1)]]
         inputs, result = {"n": args.n}, rows[0]
     else:
-        out.emit_value("fibonomial", {"n": args.n, "k": args.k}, fibonomial(args.n, args.k))
+        out.emit_value({"n": args.n, "k": args.k}, fibonomial(args.n, args.k))
         return 0
-    out.emit("fibonomial", inputs, lambda: result, lambda: rows)
+    out.emit(inputs, lambda: result, lambda: rows)
     return 0
 
 
@@ -335,7 +350,6 @@ def _cmd_zeta(args, out: _Output) -> int:
             return 1
         dim = poset.vertex_count
         out.emit(
-            "zeta",
             {"n": args.n, "check": True},
             lambda: {"equal": True, "dim": dim},
             lambda: [["OK", dim]],
@@ -345,7 +359,7 @@ def _cmd_zeta(args, out: _Output) -> int:
     builder = cobweb.zeta_explicit if args.explicit else cobweb.zeta_from_order
     mode = "explicit" if args.explicit else "order"
     matrix = builder(poset, args.unsafe_limits)
-    out.emit("zeta", {"n": args.n, "build": mode}, lambda: matrix.rows, lambda: matrix.rows)
+    out.emit({"n": args.n, "build": mode}, lambda: matrix.rows, lambda: matrix.rows)
     return 0
 
 
@@ -354,7 +368,7 @@ def _cmd_mobius(args, out: _Output) -> int:
     from . import cobweb
 
     matrix = cobweb.mobius(cobweb.build(args.n), args.unsafe_limits)
-    out.emit("mobius", {"n": args.n}, lambda: matrix.rows, lambda: matrix.rows)
+    out.emit({"n": args.n}, lambda: matrix.rows, lambda: matrix.rows)
     return 0
 
 
@@ -374,10 +388,10 @@ def _cmd_chains(args, out: _Output) -> int:
             texts = {v: _coord_text(v) for v in set().union(*chains)}
             return ([texts[v] for v in chain] for chain in chains)
 
-        out.emit("chains", {"k": args.k, "n": args.n, "enumerate": True}, lambda: chains, rows)
+        out.emit({"k": args.k, "n": args.n, "enumerate": True}, lambda: chains, rows)
         return 0
     value = cobweb.count_max_chains_from_vertex(poset, start, args.n)
-    out.emit_value("chains", {"k": args.k, "n": args.n}, value)
+    out.emit_value({"k": args.k, "n": args.n}, value)
     return 0
 
 
@@ -415,7 +429,6 @@ def _cmd_tiling(args, out: _Output) -> int:
     result = {"universe": universe, "candidates": candidates}
     if args.count_all:
         out.emit(
-            "tiling",
             {**inputs, "count_all": True},
             lambda: {**result, "covers": covers},
             lambda: [[covers]],
@@ -429,7 +442,6 @@ def _cmd_tiling(args, out: _Output) -> int:
     ]
     if solution is None:
         out.emit(
-            "tiling",
             inputs,
             lambda: {**result, "copies": None, "verdict": "NO COVER"},
             lambda: [["NO COVER"]],
@@ -447,13 +459,12 @@ def _cmd_tiling(args, out: _Output) -> int:
                 for c in solution.copies
             ],
             "assignment": {
-                _chain_text(chain): idx for chain, idx in sorted(solution.assignment.items())
+                _chain_text(chain): idx for chain, idx in solution.assignment.items()
             },
             "verdict": verdict,
         }
 
     out.emit(
-        "tiling",
         inputs,
         record,
         lambda: [
@@ -469,11 +480,11 @@ def _cmd_gv(args, out: _Output) -> int:
     from .gvpaths import fibonomial_via_paths
 
     value = fibonomial_via_paths(args.n, args.k, args.unsafe_limits)
-    out.emit_value("gv", {"n": args.n, "k": args.k}, value)
+    out.emit_value({"n": args.n, "k": args.k}, value)
     return 0
 
 
-def _parse_weights(args):
+def _cmd_konvalina(args, out: _Output) -> int:
     from . import weighted
 
     if args.weights is not None:
@@ -481,38 +492,39 @@ def _parse_weights(args):
             entries = [int(w) for w in args.weights.split(",") if w != ""]
         except ValueError as exc:
             raise ValueError(f"bad --weights value: {args.weights!r}") from exc
-        return weighted.WeightVector(entries)
-    kind, *fields = args.preset.split(":")
-    try:
-        if len(fields) > 1 + (kind == "geometric"):
-            raise ValueError("only geometric takes a ratio")
-        n, *q = map(int, fields)
-    except ValueError as exc:
-        raise ValueError(
-            f"bad --preset value: {args.preset!r}; use ones:N, arithmetic:N or geometric:N:Q"
-        ) from exc
-    return weighted.preset_weights(kind, n, *q)
-
-
-def _cmd_konvalina(args, out: _Output) -> int:
-    from . import weighted
-
-    wv = _parse_weights(args)
-    fn = weighted.c_coeff if args.kind == "first" else weighted.s_coeff
-    value = fn(wv, args.k)
-    inputs = {"kind": args.kind, "weights": list(wv), "k": args.k}
-    out.emit_value("konvalina", inputs, value)
+        wv = weighted.WeightVector(entries)
+        n, log2_max = len(wv), (max(wv, default=1) - 1).bit_length()
+    else:
+        kind, *fields = args.preset.split(":")
+        try:
+            if len(fields) > 1 + (kind == "geometric"):
+                raise ValueError("only geometric takes a ratio")
+            n, *q = map(int, fields)
+        except ValueError as exc:
+            raise ValueError(
+                f"bad --preset value: {args.preset!r}; use ones:N, arithmetic:N or geometric:N:Q"
+            ) from exc
+        log2_max = weighted.preset_log2(kind, n, *q)
+    first, k = args.kind == "first", args.k
+    if k >= 0 and not (first and k > n):  # else the library refuses, or gives 0 at once
+        cell_bits = k * log2_max + min(n, k) * (n + k).bit_length() + KONVALINA_CELL_BITS
+        cost = (n + 1) * k * cell_bits
+        ensure_within("konvalina cost estimate", cost, KONVALINA_LIMIT, args.unsafe_limits)
+    if args.weights is None:  # geometric:1000000:3 would hold about 100 GB
+        wv = weighted.preset_weights(kind, n, *q)
+    value = (weighted.c_coeff if first else weighted.s_coeff)(wv, k)
+    out.emit_value({"kind": args.kind, "weights": list(wv), "k": k}, value)
     return 0
 
 
 def _cmd_fence(args, out: _Output) -> int:
     from .fence import count_ideals
 
-    out.emit_value("fence", {"m": args.m}, count_ideals(args.m))
+    out.emit_value({"m": args.m}, count_ideals(args.m))
     return 0
 
 
-def _hasse_dot(poset) -> str:
+def _hasse_dot(poset) -> list[str]:
     lines = ["digraph cobweb {", "  rankdir=BT;", '  node [shape=circle];']
     for x in range(1, poset.vertex_count + 1):
         v = poset.coord_of(x)
@@ -523,7 +535,7 @@ def _hasse_dot(poset) -> str:
     for x, y in poset.hasse_edges():
         lines.append(f"  v{x} -> v{y};")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _cmd_hasse(args, out: _Output) -> int:
@@ -534,7 +546,6 @@ def _cmd_hasse(args, out: _Output) -> int:
     vertices = range(1, poset.vertex_count + 1)
     edges = list(poset.hasse_edges())
     out.emit(
-        "hasse",
         {"n": args.n},
         lambda: {"vertices": [poset.coord_of(x) for x in vertices], "edges": edges},
         lambda: edges,
@@ -556,7 +567,6 @@ def _cmd_verify(args, out: _Output) -> int:
     elapsed = time.perf_counter() - started
     all_passed = all(r.passed for r in results)
     out.emit(
-        "verify",
         {"suite": args.suite},
         lambda: {
             "checks": [
@@ -575,22 +585,6 @@ def _cmd_verify(args, out: _Output) -> int:
         print(f"check {r.name} wall time: {r.seconds:.3f}s", file=sys.stderr)
     print(f"suite {args.suite} wall time: {elapsed:.2f}s", file=sys.stderr)
     return 0 if all_passed else 1
-
-
-_COMMANDS = {
-    "fibonomial": _cmd_fibonomial,
-    "zeta": _cmd_zeta,
-    "mobius": _cmd_mobius,
-    "chains": _cmd_chains,
-    "tiling": _cmd_tiling,
-    "gv": _cmd_gv,
-    "konvalina": _cmd_konvalina,
-    "fence": _cmd_fence,
-    "hasse": _cmd_hasse,
-    "verify": _cmd_verify,
-}
-
-_GRAPH_COMMANDS = {"hasse"}
 
 
 @contextmanager
@@ -612,22 +606,19 @@ def main(argv: list[str] | None = None) -> int:
     with unlimited_int_str():
         try:
             args = _build_parser().parse_args(argv)
-            if args.format == "dot" and args.command not in _GRAPH_COMMANDS:
+            if args.format == "dot" and not args.dot:
                 raise ValueError("dot output is valid only for graph-producing commands")
             if args.unsafe_limits:
                 print("warning: desk-scale guards overridden (--unsafe-limits)", file=sys.stderr)
-            return _COMMANDS[args.command](args, _Output(args))
+            return args.run(args, _Output(args))
         except GuardExceeded as exc:
             print(f"guard exceeded: {exc}", file=sys.stderr)
             print("rerun with --unsafe-limits to override", file=sys.stderr)
             return 3
-        except MemoryError:
-            print("guard exceeded: out of memory", file=sys.stderr)
-            return 3
-        except OverflowError as exc:
-            # an ArithmeticError, but raised for a size no list can hold, such
-            # as a dense build at N = 100 under --unsafe-limits
-            print(f"guard exceeded: {exc}", file=sys.stderr)
+        except (MemoryError, OverflowError) as exc:
+            # OverflowError, an ArithmeticError, is raised for a size no list
+            # can hold, such as a dense build at N = 100 under --unsafe-limits
+            print(f"guard exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 3
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

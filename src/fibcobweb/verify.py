@@ -150,8 +150,6 @@ def check_konvalina_oracles(
         for k in range(max_k + 1):
             if weighted.c_coeff(ws, k) != weighted.c_coeff_oracle(ws, k):
                 return _result("first-kind coefficient vs oracle", f"w = {ws}, k = {k}")
-            if not ws and k >= 1:
-                continue
             if weighted.s_coeff(ws, k) != weighted.s_coeff_oracle(ws, k):
                 return _result("second-kind coefficient vs oracle", f"w = {ws}, k = {k}")
     return _result(

@@ -70,10 +70,6 @@ def s_coeff(w: Iterable[int], k: int) -> int:
     ws = _coerce(w)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return 1
-    if not ws:
-        raise ValueError("empty weight vector with k >= 1")
     row = [1] + [0] * k
     for w_i in ws:
         for j in range(1, k + 1):
@@ -94,24 +90,33 @@ def s_coeff_oracle(w: Iterable[int], k: int) -> int:
     ws = _coerce(w)
     ensure_within("oracle weight count", len(ws), ORACLE_LIMIT)
     ensure_within("oracle k", k, ORACLE_LIMIT)
-    if k >= 1 and not ws:
-        raise ValueError("empty weight vector with k >= 1")
     return sum(math.prod(t) for t in combinations_with_replacement(ws, k))
 
 
 PRESET_KINDS = ("ones", "arithmetic", "geometric")
 
 
-def preset_weights(kind: str, n: int, q: int | None = None) -> WeightVector:
-    """Named weight families: ones(n), arithmetic(n) = (1..n), geometric(n, q)."""
+def preset_log2(kind: str, n: int, q: int | None = None) -> int:
+    """Check a preset as preset_weights does; bound log2 of its largest weight
+    (ceil(log2 n), or (n - 1) ceil(log2 q)) without building it."""
     if kind not in PRESET_KINDS:
         raise ValueError(f"kind must be one of {PRESET_KINDS}, got {kind!r}")
     if n < 1:
         raise ValueError(f"preset length must be >= 1, got {n}")
+    if kind != "geometric":
+        if q is not None:
+            raise ValueError(f"{kind} preset takes no ratio, got {q}")
+        return (n - 1).bit_length() if kind == "arithmetic" else 0
+    if q is None or q < 1:
+        raise ValueError(f"geometric preset needs an integer ratio q >= 1, got {q}")
+    return (n - 1) * (q - 1).bit_length()
+
+
+def preset_weights(kind: str, n: int, q: int | None = None) -> WeightVector:
+    """Named weight families: ones(n), arithmetic(n) = (1..n), geometric(n, q)."""
+    preset_log2(kind, n, q)
     if kind == "ones":
         return WeightVector((1,) * n)
     if kind == "arithmetic":
         return WeightVector(range(1, n + 1))
-    if q is None or q < 1:
-        raise ValueError(f"geometric preset needs an integer ratio q >= 1, got {q}")
     return WeightVector(q**i for i in range(n))

@@ -383,6 +383,54 @@ def test_konvalina_bad_preset(capsys):
     assert "error" in err
 
 
+def test_konvalina_second_kind_from_no_boxes(capsys):
+    assert run(capsys, "konvalina", "second", "2", "--weights", "")[:2] == (0, "0\n")
+    assert run(capsys, "konvalina", "second", "0", "--weights", "")[:2] == (0, "1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("first", "20000", "--preset", "arithmetic:40000"),
+        ("second", "20000", "--preset", "arithmetic:200"),
+        ("second", "200", "--preset", "geometric:400:3"),
+        # the weights would take about 100 GB: refused before they are built
+        ("second", "2", "--preset", "geometric:1000000:3"),
+        ("second", "1000000000", "--weights", ""),
+    ],
+)
+def test_konvalina_guard_refuses_before_computing(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", "konvalina", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("guard exceeded: konvalina cost estimate = ")
+    assert lines[0].endswith(f" exceeds guard limit {cli.KONVALINA_LIMIT}")
+    assert lines[1] == "rerun with --unsafe-limits to override"
+
+
+def test_konvalina_guard_admits_cheap_calls():
+    # a first-kind k > n is 0 at once; one unit weight is a long cheap sweep
+    for argv, want in (
+        (("first", "1000000000", "--preset", "arithmetic:5"), "0\n"),
+        (("second", "3000000", "--weights", "1"), "1\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibcobweb", "konvalina", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, ""), argv
+
+
 @pytest.mark.parametrize(
     "preset", ["arithmetic:5:3", "ones:4:2", "geometric:3:2:9", "ones:", "arithmetic"]
 )
@@ -465,9 +513,22 @@ def test_hasse_guard(capsys):
 
 
 def test_dot_rejected_for_non_graph(capsys):
-    code, _, err = run(capsys, "fibonomial", "5", "2", "--format", "dot")
-    assert code == 2
-    assert "dot" in err
+    # valid arguments for every command but hasse; the refusal comes before
+    # any guard, so mobius 13 and chains 1 3000 exit 2, not 3
+    for argv in (
+        ("fibonomial", "5", "2"),
+        ("zeta", "4"),
+        ("mobius", "13"),
+        ("chains", "1", "3000"),
+        ("tiling", "3", "1", "2"),
+        ("gv", "4", "2"),
+        ("konvalina", "first", "2", "--weights", "1,2,3"),
+        ("fence", "10"),
+        ("verify", "--suite", "arith"),
+    ):
+        code, out, err = run(capsys, *argv, "--format", "dot")
+        assert (code, out) == (2, ""), argv
+        assert err == "error: dot output is valid only for graph-producing commands\n", argv
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -652,8 +713,8 @@ def test_emit_prints_each_distinct_int_once_through_decimal_str(fmt, want, monke
         return decimal_str(n)
 
     monkeypatch.setattr(cli, "decimal_str", counting)
-    out = cli._Output(argparse.Namespace(format=fmt, out=None))
-    out.emit("x", {}, lambda: None, lambda: [(big, -1, big), ["a,b", 7]])
+    out = cli._Output(argparse.Namespace(command="x", format=fmt, out=None))
+    out.emit({}, lambda: None, lambda: [(big, -1, big), ["a,b", 7]])
     assert capsys.readouterr().out == want.format(digits)
     assert sorted(converted) == [-1, 7, big]
 
@@ -675,7 +736,8 @@ def test_emit_writes_rows_in_chunks_as_they_come(fmt, monkeypatch):
             return len(chunk)
 
     monkeypatch.setattr(sys, "stdout", Sink())
-    cli._Output(argparse.Namespace(format=fmt, out=None)).emit("x", {}, None, rows)
+    out = cli._Output(argparse.Namespace(command="x", format=fmt, out=None))
+    out.emit({}, None, rows)
     sep = " " if fmt == "text" else ","
     assert "".join(w for w, _ in writes) == "".join(
         sep.join([str(10**40 + i)] * 10) + "\n" for i in range(total)

@@ -75,6 +75,14 @@ def test_a_command_loads_only_what_it_runs():
     assert "fibcobweb.seqcore" not in loaded
 
 
+def test_a_dot_refusal_loads_no_layer():
+    # main refuses --format dot for a command that draws no graph before
+    # its handler runs
+    layers = {f"fibcobweb.{m}" for m in MODULES - {"__main__", "cli", "guards"}}
+    for argv in (("fibonomial", "5", "2"), ("mobius", "5"), ("tiling", "4", "1", "2")):
+        assert not _loaded_by(*argv, "--format", "dot", exit_code=2) & layers, argv
+
+
 def test_public_names_are_their_modules_objects():
     for name in fibcobweb.__all__:
         if name == "__version__":

@@ -9,6 +9,7 @@ from fibcobweb.weighted import (
     WeightVector,
     c_coeff,
     c_coeff_oracle,
+    preset_log2,
     preset_weights,
     s_coeff,
     s_coeff_oracle,
@@ -67,8 +68,8 @@ def test_s_coeff_examples():
     assert s_coeff((1, 1, 1), 2) == 6
     assert s_coeff((1, 2, 3), 2) == 25
     assert s_coeff((4, 9), 0) == 1
-    with pytest.raises(ValueError):
-        s_coeff((), 1)
+    # no k >= 1 objects can be chosen from no boxes, as in the first kind
+    assert s_coeff((), 1) == 0
 
 
 def test_oracle_examples():
@@ -96,8 +97,7 @@ def test_recurrences_match_oracles():
         for ws in combinations_with_replacement((1, 2, 3), length):
             for k in range(7):
                 assert c_coeff(ws, k) == c_coeff_oracle(ws, k)
-                if ws or k == 0:
-                    assert s_coeff(ws, k) == s_coeff_oracle(ws, k)
+                assert s_coeff(ws, k) == s_coeff_oracle(ws, k)
 
 
 def test_preset_examples():
@@ -115,6 +115,26 @@ def test_preset_validation():
         preset_weights("geometric", 3, 0)
     with pytest.raises(ValueError):
         preset_weights("geometric", 3)
+
+
+@pytest.mark.parametrize("kind", ["ones", "arithmetic"])
+def test_only_the_geometric_preset_takes_a_ratio(kind):
+    with pytest.raises(ValueError, match=f"{kind} preset takes no ratio, got 2"):
+        preset_weights(kind, 3, 2)
+    with pytest.raises(ValueError, match="takes no ratio"):
+        preset_log2(kind, 3, 2)
+
+
+def test_preset_log2_bounds_the_largest_weight_without_building_it():
+    for n in range(1, 40):
+        assert preset_log2("ones", n) == 0
+        assert preset_log2("arithmetic", n) == math.ceil(math.log2(n))
+        for q in range(1, 9):
+            bound = preset_log2("geometric", n, q)
+            assert bound == (n - 1) * math.ceil(math.log2(q))
+            assert preset_weights("geometric", n, q)[-1] <= 2**bound
+    # a length no vector of weights could reach
+    assert preset_log2("geometric", 10**12, 3) == 2 * (10**12 - 1)
 
 
 def test_ones_preset_gives_binomials():
