@@ -6,21 +6,20 @@ Everything is computed over Python's arbitrary-precision integers; divisions
 are checked for zero remainder so an indexing-convention slip fails loudly
 instead of silently truncating. Indexing is fixed at F_0 = 0, F_1 = F_2 = 1.
 Fibonomials are products of primitive parts of Fibonacci numbers, so they
-need no division of big products. A primitive part is computed the first
-time a Fibonomial needs it and memoised; parts no call needs are never built.
+need no division of big products. Fibonacci numbers and primitive parts are
+computed the first time a call needs them and memoised by index.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+import operator
 from collections import namedtuple
 
-_fib_cache = [0, 1]
-_fib_lock = threading.Lock()
-# _prim_cache[d] is the primitive part P_d of F_d, with F_n the product of
-# P_d over the divisors d of n. A value depends on d alone, so threads that
-# race on one d store equal values, and the memo needs no lock.
+# F_n, and the primitive part P_d of F_d, memoised by index. A value depends on
+# its index alone, so threads that race on an index store equal values, and
+# neither memo needs a lock.
+_fib_cache = {0: 0, 1: 1, 2: 1}
 _prim_cache = {1: 1}
 
 
@@ -33,13 +32,17 @@ def exact_div(a: int, b: int) -> int:
 
 
 def fib(n: int) -> int:
-    """n-th Fibonacci number (F_0 = 0, F_1 = F_2 = 1)."""
+    """n-th Fibonacci number (F_0 = 0, F_1 = F_2 = 1). A miss is
+    F_m F_{n-m+1} + F_{m-1} F_{n-m}: one addition at m = n - 1 when F_{n-1}
+    and F_{n-2} are memoised, else m = ⌈n/2⌉, so the depth is O(log n)."""
     if n < 0:
         raise ValueError(f"Fibonacci index must be >= 0, got {n}")
-    with _fib_lock:
-        while len(_fib_cache) <= n:
-            _fib_cache.append(_fib_cache[-1] + _fib_cache[-2])
-        return _fib_cache[n]
+    n = operator.index(n)  # a float key would find F_2 under 2.0
+    f = _fib_cache.get(n)
+    if f is None:
+        m = n - 1 if n - 1 in _fib_cache and n - 2 in _fib_cache else (n + 1) // 2
+        f = _fib_cache[n] = fib(m) * fib(n - m + 1) + fib(m - 1) * fib(n - m)
+    return f
 
 
 def f_factorial(n: int) -> int:
@@ -59,14 +62,12 @@ def _balanced(xs) -> int:
 
 
 def f_falling(n: int, k: int) -> int:
-    """Falling product F_n F_{n-1} ... F_{n-k+1} (k factors), as a balanced
-    product."""
+    """Falling product F_n F_{n-1} ... F_{n-k+1} of k factors, balanced."""
     if k < 0:
         raise ValueError(f"length must be >= 0, got {k}")
     if k > n:
         raise ValueError(f"length {k} exceeds upper index {n}")
-    fib(n)  # the table only grows, so the slice below needs no lock
-    return _balanced(_fib_cache[n - k + 1 : n + 1])
+    return _balanced([fib(j) for j in range(n - k + 1, n + 1)])
 
 
 def _primitive_part(d: int) -> int:
@@ -131,8 +132,7 @@ def fibonomial_rec(n: int, k: int, variant: str = "A") -> int:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if n < 0 or k < 0:
         raise ValueError(f"indices must be >= 0, got ({n}, {k})")
-    fib(n + 1)  # the table only grows, so F below needs no lock
-    F = _fib_cache
+    F = [fib(j) for j in range(n + 2)]
     if variant == "A":
         return _triangle(
             n, k, lambda i, j, up, left: F[j - 1] * up + F[i + 1 - j] * left, 1, 0

@@ -246,9 +246,11 @@ def _limit_address_space():
     [["tiling", "3000000", "1", "1"], ["chains", "1", "3000000", "--unsafe-limits"]],
 )
 def test_out_of_memory_exits_3_without_traceback(argv):
-    # Both fill the Fibonacci table up to index 3000000 before any guard
-    # refuses (chains only once its guard is overridden); 1 GiB of address
-    # space in the child runs out first.
+    # Under 1 GiB of address space in the child, both exit 3 with no traceback.
+    # The tiling memoises F_3000000 and F_3000001 and the O(log n) values
+    # below them that its checks need, so its universe guard refuses. The
+    # chains run, its guard overridden, stores every level size of a
+    # height-3000000 poset and runs out of memory.
     proc = subprocess.run(
         [sys.executable, "-m", "fibcobweb", *argv],
         capture_output=True,
@@ -258,9 +260,17 @@ def test_out_of_memory_exits_3_without_traceback(argv):
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
-    warning = "warning: desk-scale guards overridden (--unsafe-limits)\n"
-    overridden = warning if "--unsafe-limits" in argv else ""
-    assert proc.stderr == overridden + "guard exceeded: out of memory\n"
+    if argv[0] == "tiling":
+        assert proc.stderr == (
+            "guard exceeded: chain universe size = a 626963-digit number"
+            " exceeds guard limit 10000\n"
+            "rerun with --unsafe-limits to override\n"
+        )
+    else:
+        assert proc.stderr == (
+            "warning: desk-scale guards overridden (--unsafe-limits)\n"
+            "guard exceeded: out of memory\n"
+        )
 
 
 @pytest.mark.parametrize("argv", [["mobius", "100"], ["zeta", "100", "--explicit"]])
@@ -298,7 +308,7 @@ def test_chains_guard_refuses_a_high_target_level():
 
 
 def test_chains_refuses_a_start_level_above_the_target_before_building():
-    # Building the height-3000000 poset would fill the Fibonacci table far
+    # Building the height-3000000 poset would store every level size, far
     # past the 1 GiB address-space limit of the child.
     proc = subprocess.run(
         [sys.executable, "-m", "fibcobweb", "chains", "3000000", "1"],

@@ -23,6 +23,15 @@ from fibcobweb.seqcore import (
 )
 
 FIRST_FIBS = (0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55)
+# Child-interpreter code that sets want[n] = F_n, by the plain recurrence,
+# for each n in `order`, and keeps no other value.
+PLAIN_RECURRENCE = (
+    "want, a, b = dict.fromkeys(order), 0, 1\n"
+    "for i in range(max(order) + 1):\n"
+    "    if i in want:\n"
+    "        want[i] = a\n"
+    "    a, b = b, a + b\n"
+)
 
 
 def test_fib_first_values():
@@ -39,6 +48,15 @@ def test_fib_matches_plain_recurrence():
 def test_fib_rejects_negative_index():
     with pytest.raises(ValueError):
         fib(-1)
+
+
+def test_fib_rejects_a_non_integer_index():
+    # F_2 is memoised under the key 2, which 2.0 equals and hashes like
+    assert fib(2) == 1
+    for index in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            fib(index)
+    assert (fib(False), fib(True)) == (0, 1)
 
 
 def test_exact_div():
@@ -100,17 +118,70 @@ def test_primitive_parts_multiply_to_fibonacci_numbers():
 
 def test_small_k_builds_only_the_parts_it_needs():
     # fibonomial(20000, 2) multiplies the parts at the divisors of 20000 and
-    # 19999; the memo holds those and the parts of their divisors
+    # 19999; the memo holds those and the parts of their divisors. Each part
+    # needs F_d at a lone index d, which memoises O(log d) Fibonacci numbers
+    # rather than every F_j below d.
     code = (
+        "import tracemalloc; tracemalloc.start()\n"
         "from fibcobweb import seqcore\n"
         "seqcore.fibonomial(20000, 2)\n"
-        "print(len(seqcore._prim_cache))\n"
+        "print(len(seqcore._prim_cache), len(seqcore._fib_cache),"
+        " tracemalloc.get_traced_memory()[1])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 100
+    parts, fibs, peak = map(int, proc.stdout.split())
+    assert parts < 100
+    assert fibs < 200
+    assert peak < 4 * 2**20
+
+
+def test_a_tiling_refusal_computes_few_fibonacci_numbers():
+    # the root check and the universe guard need F_100000 and F_100001 only
+    code = (
+        "import tracemalloc; tracemalloc.start()\n"
+        "from fibcobweb.guards import GuardExceeded\n"
+        "from fibcobweb.tiling import find_tiling\n"
+        "try:\n"
+        "    find_tiling(100000, 1, 1)\n"
+        "except GuardExceeded:\n"
+        "    print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        "random.Random(7).sample(range(3000), 3000)",
+        "[100000]",
+        "[*range(4001, 8000, 2), 8000]",
+    ],
+)
+def test_fib_in_any_order_matches_the_plain_recurrence(order):
+    # Each order starts from a fresh memo. Lone indices and runs that skip
+    # every other index reach a miss whose lower neighbours are not both
+    # memoised; that miss halves its index, so the recursion stays shallow
+    # even under a limit of 100 frames.
+    code = (
+        "import random, sys\n"
+        "from fibcobweb.seqcore import fib\n"
+        f"order = {order}\n"
+        + PLAIN_RECURRENCE
+        + "sys.setrecursionlimit(100)\n"
+        "wrong = [n for n in order if fib(n) != want[n]]\n"
+        "assert not wrong, wrong[:5]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_primitive_part_table_grows_from_its_length():
@@ -158,6 +229,35 @@ def test_primitive_part_table_grows_under_threads():
         "    t.join(60)\n"
         "assert not any(t.is_alive() for t in threads)\n"
         "assert not wrong, wrong\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fibonacci_memo_under_threads():
+    # The memo is read and written without a lock. Eight threads ask for the
+    # same lone indices in different orders from a fresh memo, so they race
+    # on misses and on the halved indices below them.
+    code = (
+        "import random, sys, threading\n"
+        "from fibcobweb.seqcore import fib\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "order = random.Random(3).sample(range(20000), 300)\n"
+        + PLAIN_RECURRENCE
+        + "wrong = []\n"
+        "def read(seed):\n"
+        "    for n in random.Random(seed).sample(list(want), len(want)):\n"
+        "        if fib(n) != want[n]:\n"
+        "            wrong.append(n)\n"
+        "threads = [threading.Thread(target=read, args=(s,)) for s in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert not wrong, wrong[:5]\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
