@@ -314,21 +314,22 @@ def _cmd_fibonomial(args, out: _Output) -> int:
             raise ValueError("fibonomial takes either N (with optional K) or --triangle ROWS")
         if args.triangle < 0:
             raise ValueError("--triangle rows must be >= 0")
-        rows = [
-            [fibonomial(n, k) for k in range(n + 1)] for n in range(args.triangle + 1)
-        ]
-        inputs, result = {"triangle": args.triangle}, rows
+
+        def rows():  # computed as they are written; JSON alone holds them all
+            return ([fibonomial(n, k) for k in range(n + 1)] for n in range(args.triangle + 1))
+
+        inputs, result = {"triangle": args.triangle}, lambda: list(rows())
     elif args.n is None:
         raise ValueError("fibonomial needs N (with optional K) or --triangle ROWS")
     elif args.k is None:
         if args.n < 0:
             raise ValueError(f"indices must be >= 0, got {args.n}")
-        rows = [[fibonomial(args.n, k) for k in range(args.n + 1)]]
-        inputs, result = {"n": args.n}, rows[0]
+        row = [fibonomial(args.n, k) for k in range(args.n + 1)]
+        inputs, result, rows = {"n": args.n}, lambda: row, lambda: [row]
     else:
         out.emit_value({"n": args.n, "k": args.k}, fibonomial(args.n, args.k))
         return 0
-    out.emit(inputs, lambda: result, lambda: rows)
+    out.emit(inputs, result, rows)
     return 0
 
 
@@ -359,7 +360,7 @@ def _cmd_zeta(args, out: _Output) -> int:
     builder = cobweb.zeta_explicit if args.explicit else cobweb.zeta_from_order
     mode = "explicit" if args.explicit else "order"
     matrix = builder(poset, args.unsafe_limits)
-    out.emit({"n": args.n, "build": mode}, lambda: matrix.rows, lambda: matrix.rows)
+    out.emit({"n": args.n, "build": mode}, lambda: matrix, lambda: matrix)
     return 0
 
 
@@ -368,7 +369,7 @@ def _cmd_mobius(args, out: _Output) -> int:
     from . import cobweb
 
     matrix = cobweb.mobius(cobweb.build(args.n), args.unsafe_limits)
-    out.emit({"n": args.n}, lambda: matrix.rows, lambda: matrix.rows)
+    out.emit({"n": args.n}, lambda: matrix, lambda: matrix)
     return 0
 
 

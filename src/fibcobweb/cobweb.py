@@ -18,10 +18,11 @@ order-indicator matrix without the level layout, the independent route
 per level, so a build peaks at about the matrix it returns. The Mobius matrix
 and the chain-count prefix products are cached for the last height asked
 for, because queries read them once per entry; the order-indicator matrices
-are built afresh on each call. The poset and its matrices are frozen slotted
-classes, not dataclasses: importing `dataclasses` (and `inspect`) would add
-about 10 ms to the start-up of every poset command. The dense product
-zeta * mobius and the brute-force chain count live in `verify`.
+are built afresh on each call. A matrix is the tuple of its rows, checked
+once and equal to that tuple; the poset is a frozen slotted class. Neither is
+a dataclass: importing `dataclasses` (and `inspect`) would add about 10 ms to
+the start-up of every poset command. The dense product zeta * mobius and the
+brute-force chain count live in `verify`.
 """
 
 from __future__ import annotations
@@ -51,20 +52,10 @@ class VertexCoord(NamedTuple):
     s: int
 
 
-class _Frozen:
-    """Value type whose `__init__` alone sets slots, via object.__setattr__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class CobwebPoset(_Frozen):
-    """Immutable cobweb poset truncated to levels 1..max_level."""
+class CobwebPoset:
+    """Immutable cobweb poset truncated to levels 1..max_level. Its fields are
+    slots, set once through object.__setattr__, because warm queries read
+    level_starts and vertex_count on every call."""
 
     __slots__ = ("max_level", "level_sizes", "level_starts", "vertex_count")
 
@@ -76,6 +67,12 @@ class CobwebPoset(_Frozen):
         object.__setattr__(self, "level_sizes", tuple(fib(s) for s in levels))
         object.__setattr__(self, "level_starts", tuple(fib(s + 1) for s in levels))
         object.__setattr__(self, "vertex_count", fib(max_level + 2) - 1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         return f"CobwebPoset(max_level={self.max_level!r})"
@@ -148,45 +145,40 @@ def build(max_level: int) -> CobwebPoset:
     return CobwebPoset(max_level)
 
 
-class IncMatrix(_Frozen):
-    """Immutable square integer matrix with 1-based accessors."""
+class IncMatrix(tuple):
+    """Immutable square integer matrix with 1-based accessors: the tuple of its
+    rows, each entry checked once, and equal to that tuple."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows: Tuple[Tuple[int, ...], ...]):
+    def __new__(cls, rows: Tuple[Tuple[int, ...], ...]):
         rows = tuple(tuple(index(v) for v in row) for row in rows)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
+        return tuple.__new__(cls, rows)
 
-    def __eq__(self, other):
-        if other.__class__ is not IncMatrix:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __reduce__(self):
-        return IncMatrix, (self.rows,)
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(self)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self)
 
     def entry(self, x: int, y: int) -> int:
-        if not (1 <= x <= self.dim and 1 <= y <= self.dim):
-            raise ValueError(f"entry ({x}, {y}) out of range 1..{self.dim}")
-        return self.rows[x - 1][y - 1]
+        n = len(self)
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValueError(f"entry ({x}, {y}) out of range 1..{n}")
+        return self[x - 1][y - 1]
 
     def __repr__(self) -> str:
-        return f"IncMatrix(dim={self.dim})"
+        return f"IncMatrix(dim={len(self)})"
 
     def first_difference(self, other: "IncMatrix") -> Optional[Tuple[int, int]]:
         """First (row, col) where the matrices disagree, 1-based; None if equal."""
-        if other.dim != self.dim:
+        if len(other) != len(self):
             return (0, 0)
-        for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
+        for i, (ra, rb) in enumerate(zip(self, other)):
             if ra != rb:
                 for j, (a, b) in enumerate(zip(ra, rb)):
                     if a != b:
@@ -196,9 +188,7 @@ class IncMatrix(_Frozen):
 
 def _frozen(rows: List[Tuple[int, ...]]) -> IncMatrix:
     """IncMatrix of int tuples built here, without the public checks."""
-    matrix = object.__new__(IncMatrix)
-    object.__setattr__(matrix, "rows", tuple(rows))
-    return matrix
+    return tuple.__new__(IncMatrix, rows)
 
 
 def _level_rows(p: CobwebPoset, between) -> IncMatrix:

@@ -265,7 +265,7 @@ def check_mobius_inverse(max_level: int = 10) -> CheckResult:
     Kronecker delta entry by entry."""
     for level in range(1, max_level + 1):
         p = cobweb.build(level)
-        zeta, mob = cobweb.zeta_from_order(p).rows, cobweb.mobius(p).rows
+        zeta, mob = cobweb.zeta_from_order(p), cobweb.mobius(p)
         for rows in (_dense_product(zeta, mob), _dense_product(mob, zeta)):
             if any(v != (x == y) for x, row in enumerate(rows) for y, v in enumerate(row)):
                 return _result("mobius inverse", f"N = {level}")

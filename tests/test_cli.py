@@ -757,6 +757,30 @@ def test_emit_writes_rows_in_chunks_as_they_come(fmt, monkeypatch):
     assert writes[0][1] < total
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_triangle_rows_are_computed_as_they_are_written(fmt, monkeypatch):
+    # rows 0..60 render to about 120 KB, more than one chunk: the first write
+    # comes before the last row's first entry is computed
+    from fibcobweb import seqcore
+
+    last, computed, writes = 60, [], []
+
+    def counted(n, k):
+        computed.append(n)
+        return fibonomial(n, k)
+
+    class Sink(io.TextIOBase):
+        def write(self, chunk):
+            writes.append((chunk, max(computed)))
+            return len(chunk)
+
+    monkeypatch.setattr(seqcore, "fibonomial", counted)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["fibonomial", "--triangle", str(last), "--format", fmt]) == 0
+    assert len(writes) > 1
+    assert writes[0][1] < last
+
+
 def test_verify_suite_arith(capsys):
     code, out, err = run(capsys, "verify", "--suite", "arith")
     assert code == 0

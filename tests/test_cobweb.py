@@ -366,6 +366,24 @@ def test_a_cold_dense_build_peaks_at_about_the_matrix_it_returns():
         assert peak <= 1.1 * size, (builder.__name__, peak / size)
 
 
+def test_incmatrix_is_the_checked_tuple_of_its_rows():
+    m = mobius(build(4))
+    assert isinstance(m, tuple)
+    assert m == m.rows
+    assert len(m) == m.dim
+    assert all(m[i] == m.rows[i] for i in range(m.dim))
+    built = IncMatrix([[1, 2], [0, 1]])
+    for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+        assert type(copied) is IncMatrix
+        assert copied == built
+    # both copies are rebuilt through the checked constructor
+    bad = cobweb._frozen([(1.5,)])
+    with pytest.raises(TypeError):
+        pickle.loads(pickle.dumps(bad))
+    with pytest.raises(TypeError):
+        copy.deepcopy(bad)
+
+
 def test_incmatrix_first_difference():
     a = IncMatrix(((1, 0), (0, 1)))
     b = IncMatrix(((1, 1), (0, 1)))
