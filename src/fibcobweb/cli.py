@@ -1,20 +1,24 @@
 """Command-line front end: every computation behind one `cobweb` command.
 
-The argparse tree is the command table: each subparser sets args.run to
-its handler, and a graph-producing one sets args.dot. Results go to stdout
-(or --out), diagnostics to stderr. Exit codes: 0 on success, 1 on
-verification failure, 2 on usage errors, 3 when a desk-scale guard is
-exceeded (override with --unsafe-limits) or memory runs out (one stderr
-line, no traceback). Numbers are emitted as exact decimal strings; output
-for a fixed invocation is byte-identical across runs.
+_COMMANDS is the command table: each command's handler, summary, arguments
+in argparse's terms, exclusive groups and whether it draws a graph. _parse
+reads a well-formed command line from the table without importing
+argparse; it declines anything else (help, --version, a usage error, an
+unusual spelling), which goes to the argparse tree built from the same
+table and prints and exits as argparse does. Results go to stdout (or
+--out), diagnostics to stderr. Exit codes: 0 on success, 1 on verification
+failure, 2 on usage errors, 3 when a desk-scale guard is exceeded (override
+with --unsafe-limits) or memory runs out (one stderr line, no traceback).
+Numbers are emitted as exact decimal strings; output for a fixed invocation
+is byte-identical across runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from . import __version__
 from .guards import GuardExceeded, ensure_within
@@ -33,101 +37,12 @@ CHAINS_LIMIT = 2500
 # 0.94 s (first kind) and 2.32 s (second kind) on Python 3.11, 2 vCPUs.
 KONVALINA_LIMIT = 10**10
 KONVALINA_CELL_BITS = 512
-# verify.SUITE_NAMES, spelled out so that building the parser does not load
+# A `cobweb fence M` child takes about 0.7 s at M = 3,000,000 and 2.0 s at
+# 5,000,000 (Python 3.11, 2 vCPUs).
+FENCE_LIMIT = 3 * 10**6
+# verify.SUITE_NAMES, spelled out so that the command table does not load
 # every layer; tests/test_verify.py pins the two equal.
 VERIFY_SUITES = ("arith", "poset", "tiling", "paths", "fence", "all")
-
-
-class _Parser(argparse.ArgumentParser):
-    """Help and version text go through the guarded stdout write, so that a
-    failed write exits 2 (argparse drops the error and exits 0)."""
-
-    def _print_message(self, message, file=None):
-        if message and file is sys.stdout:
-            _write_stdout([message])
-        else:
-            super()._print_message(message, file)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="cobweb",
-        description="Exact Fibonacci cobweb poset combinatorics",
-    )
-    parser.add_argument("--version", action="version", version=f"cobweb {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json", "csv", "dot"),
-        default="text",
-        help="output format (dot is valid only for graph-producing commands)",
-    )
-    common.add_argument("--out", metavar="PATH", help="write output to PATH")
-    common.add_argument(
-        "--unsafe-limits",
-        action="store_true",
-        help="override desk-scale guards (prints a warning)",
-    )
-    common.set_defaults(dot=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, run, summary, **defaults):
-        p = sub.add_parser(name, parents=[common], help=summary)
-        p.set_defaults(run=run, **defaults)
-        return p
-
-    p = command("fibonomial", _cmd_fibonomial, "Fibonomial coefficients")
-    p.add_argument("n", type=int, nargs="?")
-    p.add_argument("k", type=int, nargs="?")
-    p.add_argument("--triangle", type=int, metavar="ROWS", help="print rows 0..ROWS")
-
-    p = command("zeta", _cmd_zeta, "order-indicator matrix")
-    p.add_argument("n", type=int)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--explicit", action="store_true", help="delta-expansion build")
-    group.add_argument("--order", action="store_true", help="comparability build (default)")
-    group.add_argument("--check", action="store_true", help="build both ways and compare")
-
-    p = command("mobius", _cmd_mobius, "Mobius matrix")
-    p.add_argument("n", type=int)
-
-    p = command("chains", _cmd_chains, "maximal chains between levels")
-    p.add_argument("k", type=int, help="start level (first vertex of the level)")
-    p.add_argument("n", type=int, help="target level")
-    p.add_argument("--enumerate", action="store_true", help="list the chains")
-
-    p = command("tiling", _cmd_tiling, "max-disjoint copy tiling")
-    p.add_argument("k", type=int, help="root level")
-    p.add_argument("r", type=int, help="root position within level k")
-    p.add_argument("m", type=int, help="copy height")
-    p.add_argument("--count-all", action="store_true", help="count every tiling")
-
-    p = command("gv", _cmd_gv, "path-determinant Fibonomial sum")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = command("konvalina", _cmd_konvalina, "weighted-box coefficients")
-    p.add_argument("kind", choices=("first", "second"))
-    p.add_argument("k", type=int)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--weights", metavar="W1,W2,...", help="explicit weight vector")
-    group.add_argument(
-        "--preset",
-        metavar="KIND:N[:Q]",
-        help="ones:N, arithmetic:N, or geometric:N:Q",
-    )
-
-    p = command("fence", _cmd_fence, "fence-poset ideal count")
-    p.add_argument("m", type=int)
-
-    p = command("hasse", _cmd_hasse, "Hasse diagram export", dot=True)
-    p.add_argument("n", type=int)
-
-    p = command("verify", _cmd_verify, "run self-verification suites")
-    p.add_argument(
-        "--suite", choices=VERIFY_SUITES, default="all", help="suite to run"
-    )
-    return parser
 
 
 # Bit length above which decimal_str leaves str(), which is quadratic before
@@ -247,8 +162,8 @@ class _Output:
         through decimal_str, or a str (not a bool, which would share a table
         entry with 0 or 1); each row is a sequence. CSV is the rows; text is
         the lines a command gives, else the rows with cells space-separated.
-        The parser is the command table: only a subparser that sets dot
-        admits --format dot, and its handler passes dot."""
+        Only a command whose table entry sets dot admits --format dot, and
+        its handler passes dot."""
         lines = dot if self.format == "dot" else text
         if self.format == "json":
             import json
@@ -519,6 +434,7 @@ def _cmd_konvalina(args, out: _Output) -> int:
 
 
 def _cmd_fence(args, out: _Output) -> int:
+    ensure_within("fence size", args.m, FENCE_LIMIT, args.unsafe_limits)
     from .fence import count_ideals
 
     out.emit_value({"m": args.m}, count_ideals(args.m))
@@ -588,6 +504,209 @@ def _cmd_verify(args, out: _Output) -> int:
     return 0 if all_passed else 1
 
 
+def _arg(name, **keywords):
+    """One argument: its name and the keywords argparse's add_argument takes."""
+    return name, keywords
+
+
+def _group(*arguments, required=False):
+    """A mutually exclusive group of options."""
+    return required, arguments
+
+
+def _command(run, summary, *arguments, groups=(), dot=False):
+    """A command's handler, its summary, its arguments in the order they are
+    added, its groups, added after them, and whether it draws a graph."""
+    return run, summary, arguments, groups, dot
+
+
+# The command table, in the order help lists it; _COMMON holds the options
+# every command takes. Of argparse's keywords, _parse reads type (int),
+# nargs ("?"), choices, action ("store_true") and default; metavar and help
+# are argparse's alone.
+_COMMON = (
+    _arg(
+        "--format",
+        choices=("text", "json", "csv", "dot"),
+        default="text",
+        help="output format (dot is valid only for graph-producing commands)",
+    ),
+    _arg("--out", metavar="PATH", help="write output to PATH"),
+    _arg(
+        "--unsafe-limits",
+        action="store_true",
+        help="override desk-scale guards (prints a warning)",
+    ),
+)
+_COMMANDS = {
+    "fibonomial": _command(
+        _cmd_fibonomial,
+        "Fibonomial coefficients",
+        _arg("n", type=int, nargs="?"),
+        _arg("k", type=int, nargs="?"),
+        _arg("--triangle", type=int, metavar="ROWS", help="print rows 0..ROWS"),
+    ),
+    "zeta": _command(
+        _cmd_zeta,
+        "order-indicator matrix",
+        _arg("n", type=int),
+        groups=[
+            _group(
+                _arg("--explicit", action="store_true", help="delta-expansion build"),
+                _arg("--order", action="store_true", help="comparability build (default)"),
+                _arg("--check", action="store_true", help="build both ways and compare"),
+            )
+        ],
+    ),
+    "mobius": _command(_cmd_mobius, "Mobius matrix", _arg("n", type=int)),
+    "chains": _command(
+        _cmd_chains,
+        "maximal chains between levels",
+        _arg("k", type=int, help="start level (first vertex of the level)"),
+        _arg("n", type=int, help="target level"),
+        _arg("--enumerate", action="store_true", help="list the chains"),
+    ),
+    "tiling": _command(
+        _cmd_tiling,
+        "max-disjoint copy tiling",
+        _arg("k", type=int, help="root level"),
+        _arg("r", type=int, help="root position within level k"),
+        _arg("m", type=int, help="copy height"),
+        _arg("--count-all", action="store_true", help="count every tiling"),
+    ),
+    "gv": _command(
+        _cmd_gv, "path-determinant Fibonomial sum", _arg("n", type=int), _arg("k", type=int)
+    ),
+    "konvalina": _command(
+        _cmd_konvalina,
+        "weighted-box coefficients",
+        _arg("kind", choices=("first", "second")),
+        _arg("k", type=int),
+        groups=[
+            _group(
+                _arg("--weights", metavar="W1,W2,...", help="explicit weight vector"),
+                _arg(
+                    "--preset",
+                    metavar="KIND:N[:Q]",
+                    help="ones:N, arithmetic:N, or geometric:N:Q",
+                ),
+                required=True,
+            )
+        ],
+    ),
+    "fence": _command(_cmd_fence, "fence-poset ideal count", _arg("m", type=int)),
+    "hasse": _command(_cmd_hasse, "Hasse diagram export", _arg("n", type=int), dot=True),
+    "verify": _command(
+        _cmd_verify,
+        "run self-verification suites",
+        _arg("--suite", choices=VERIFY_SUITES, default="all", help="suite to run"),
+    ),
+}
+
+
+def _parse(argv: list[str]):
+    """The namespace argparse makes of argv, read from the command table, or
+    None where argv is not in the well-formed shape: a command name, its
+    positionals in one run, then its options by their full names, each once
+    and at most one of a group, with any value in the next token. No other
+    token may start with "-", and every int and choice must be valid.
+    argparse handles the rest, errors included."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    run, _, arguments, groups, dot = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "run": run, "dot": dot}
+    positionals, options = [], {}
+    for name, keywords in _COMMON + arguments + tuple(a for _, g in groups for a in g):
+        if name.startswith("-"):
+            options[name] = keywords
+            flag = keywords.get("action") == "store_true"
+            values[_dest(name)] = keywords.get("default", False if flag else None)
+        else:
+            positionals.append((name, keywords))
+    tokens = iter(argv[1:])
+    token = next(tokens, None)
+    try:
+        for name, keywords in positionals:
+            if token is not None and not token.startswith("-"):
+                values[name] = _convert(token, keywords)
+                token = next(tokens, None)
+            elif keywords.get("nargs") == "?":
+                values[name] = keywords.get("default")
+            else:
+                return None
+        given = set()
+        while token is not None:
+            keywords = options.get(token)
+            if keywords is None or token in given:
+                return None
+            given.add(token)
+            if keywords.get("action") == "store_true":
+                value = True
+            else:
+                value = next(tokens, None)
+                if value is None or value.startswith("-"):
+                    return None
+                value = _convert(value, keywords)
+            values[_dest(token)] = value
+            token = next(tokens, None)
+    except ValueError:  # a bad int or choice
+        return None
+    for required, group in groups:
+        count = sum(name in given for name, _ in group)
+        if count > 1 or (required and not count):
+            return None
+    return SimpleNamespace(**values)
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _convert(text: str, keywords: dict):
+    """text as argparse converts it; a ValueError where argparse refuses it."""
+    value = keywords.get("type", str)(text)
+    if "choices" in keywords and value not in keywords["choices"]:
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
+def _build_parser():
+    """The argparse tree of the command table. It reads only the command
+    lines _parse declines: help, --version and usage errors keep argparse's
+    own bytes and exit codes."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Help and version text go through the guarded stdout write, so
+        that a failed write exits 2 (argparse drops the error and exits 0)."""
+
+        def _print_message(self, message, file=None):
+            if message and file is sys.stdout:
+                _write_stdout([message])
+            else:
+                super()._print_message(message, file)
+
+    parser = _Parser(
+        prog="cobweb",
+        description="Exact Fibonacci cobweb poset combinatorics",
+    )
+    parser.add_argument("--version", action="version", version=f"cobweb {__version__}")
+    common = argparse.ArgumentParser(add_help=False)
+    for name, keywords in _COMMON:
+        common.add_argument(name, **keywords)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (run, summary, arguments, groups, dot) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=summary)
+        p.set_defaults(run=run, dot=dot)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        for required, group in groups:
+            exclusive = p.add_mutually_exclusive_group(required=required)
+            for name, keywords in group:
+                exclusive.add_argument(name, **keywords)
+    return parser
+
+
 @contextmanager
 def unlimited_int_str():
     """Lift CPython's limit on the digits of int <-> str conversions (3.10.7+)
@@ -606,7 +725,9 @@ def unlimited_int_str():
 def main(argv: list[str] | None = None) -> int:
     with unlimited_int_str():
         try:
-            args = _build_parser().parse_args(argv)
+            if argv is None:
+                argv = sys.argv[1:]
+            args = _parse(argv) or _build_parser().parse_args(argv)
             if args.format == "dot" and not args.dot:
                 raise ValueError("dot output is valid only for graph-producing commands")
             if args.unsafe_limits:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fibcobweb import cli, verify
 from fibcobweb.cli import (
     CHAINS_LIMIT,
+    FENCE_LIMIT,
     _decimal_digits,
     decimal_str,
     main,
@@ -305,6 +306,32 @@ def test_chains_guard_refuses_a_high_target_level():
         f"guard exceeded: chains target level = 20000 exceeds guard limit {CHAINS_LIMIT}",
         "rerun with --unsafe-limits to override",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,timeout",
+    [
+        (["fence", "100000000"], 3, 5),  # ran past 15 s unguarded
+        (["fence", str(FENCE_LIMIT)], 0, 30),
+        (["fence", str(FENCE_LIMIT + 1), "--unsafe-limits", "--format", "json"], 0, 30),
+    ],
+)
+def test_fence_guard_refuses_before_computing(argv, exit_code, timeout):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=timeout,
+    )
+    assert proc.returncode == exit_code
+    if exit_code == 3:
+        assert proc.stderr.splitlines() == [
+            f"guard exceeded: fence size = 100000000 exceeds guard limit {FENCE_LIMIT}",
+            "rerun with --unsafe-limits to override",
+        ]
+    else:
+        assert "guard exceeded" not in proc.stderr
 
 
 def test_chains_refuses_a_start_level_above_the_target_before_building():

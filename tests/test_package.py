@@ -19,16 +19,35 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
-def _loaded_by(*argv, exit_code=0) -> set:
-    """Modules that `cobweb ARGV` adds to a fresh interpreter's sys.modules."""
+def _loaded_by(*argv, exit_code=0, exits=False) -> set:
+    """Modules that `cobweb ARGV` adds to a fresh interpreter's sys.modules.
+    main returns exit_code, or with exits raises SystemExit(exit_code)."""
+    call = f"main({list(argv)!r})"
+    if exits:
+        run = (
+            f"try:\n    {call}\nexcept SystemExit as exc:\n    assert exc.code == {exit_code}\n"
+            "else:\n    raise AssertionError('main returned')\n"
+        )
+    else:
+        run = f"assert {call} == {exit_code}\n"
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from fibcobweb.cli import main\n"
-        f"assert main({list(argv)!r}) == {exit_code}\n"
+        f"{run}"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     return set(_fresh(code).splitlines()[-1].split())
+
+
+# what parsing by argparse loads; a well-formed command line needs none of it
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def _parsed_by_table(*argv, exit_code=0) -> set:
+    loaded = _loaded_by(*argv, exit_code=exit_code)
+    assert not loaded & ARGPARSE, argv
+    return loaded
 
 
 def test_the_lazy_loader_knows_every_module():
@@ -36,7 +55,7 @@ def test_the_lazy_loader_knows_every_module():
 
 
 def test_a_command_loads_only_what_it_runs():
-    loaded = _loaded_by("fibonomial", "5", "2")
+    loaded = _parsed_by_table("fibonomial", "5", "2")
     assert "fibcobweb.seqcore" in loaded
     layers = MODULES - {"__main__", "cli", "guards", "seqcore"}
     unwanted = {f"fibcobweb.{m}" for m in layers} | {"dataclasses", "json", "csv"}
@@ -47,7 +66,7 @@ def test_a_command_loads_only_what_it_runs():
         ("hasse", "3", "--format", "dot"),
         ("chains", "2", "5", "--enumerate"),
     ):
-        loaded = _loaded_by(*argv)
+        loaded = _parsed_by_table(*argv)
         assert "fibcobweb.cobweb" in loaded, argv
         unwanted = {"fibcobweb.tiling", "fibcobweb.verify", "dataclasses", "inspect"}
         assert not loaded & unwanted, argv
@@ -58,21 +77,24 @@ def test_a_command_loads_only_what_it_runs():
         (("chains", "1", "3000"), 3),
         (("chains", "5", "3"), 2),
     ):
-        loaded = _loaded_by(*argv, exit_code=exit_code)
+        loaded = _parsed_by_table(*argv, exit_code=exit_code)
         assert not loaded & {"fibcobweb.cobweb", "fibcobweb.seqcore"}, argv
     for argv in (("tiling", "4", "1", "2"), ("tiling", "3", "1", "3", "--count-all")):
-        loaded = _loaded_by(*argv)
+        loaded = _parsed_by_table(*argv)
         assert "fibcobweb.tiling" in loaded
         assert "fibcobweb.verify" not in loaded
-    loaded = _loaded_by("fence", "10")
+    loaded = _parsed_by_table("fence", "10")
     assert "fibcobweb.fence" in loaded
     assert not loaded & {"fibcobweb.seqcore", "dataclasses"}
-    loaded = _loaded_by("gv", "5", "2")
+    loaded = _parsed_by_table("gv", "5", "2")
     assert "fibcobweb.gvpaths" in loaded
     assert "fibcobweb.seqcore" not in loaded
-    loaded = _loaded_by("konvalina", "first", "2", "--weights", "1,2,3")
+    loaded = _parsed_by_table("konvalina", "first", "2", "--weights", "1,2,3")
     assert "fibcobweb.weighted" in loaded
     assert "fibcobweb.seqcore" not in loaded
+    # help and a usage error still go to argparse, and exit 0 and 2
+    for argv, exit_code in ((("--help",), 0), (("fence", "--help"), 0), (("fence", "x"), 2)):
+        assert ARGPARSE <= _loaded_by(*argv, exit_code=exit_code, exits=True), argv
 
 
 def test_a_dot_refusal_loads_no_layer():
