@@ -40,6 +40,15 @@ KONVALINA_CELL_BITS = 512
 # A `cobweb fence M` child takes about 0.7 s at M = 3,000,000 and 2.0 s at
 # 5,000,000 (Python 3.11, 2 vCPUs).
 FENCE_LIMIT = 3 * 10**6
+# The Fibonomial (n k)_F is about phi^(k (n - k)), so it has about
+# 0.694 k (n - k) bits; a row sums that over k, a triangle over its rows. Each shape's limit
+# is near 5 s of output (Python 3.11, 2 vCPUs): `fibonomial 7000 3500`
+# (8.5e6 bits) took 4.1-4.4 s and `7500 3750` (9.8e6) 6.0-6.6 s; row 884
+# (8.0e7) took 4.7 s and row 1000 (1.2e8) 9.2 s; `--triangle 318` (3.0e8)
+# took 4.6 s and `--triangle 330` (3.5e8) 5.5 s.
+FIBONOMIAL_BITS_LIMIT = 9 * 10**6
+FIBONOMIAL_ROW_BITS_LIMIT = 8 * 10**7
+FIBONOMIAL_TRIANGLE_BITS_LIMIT = 3 * 10**8
 # verify.SUITE_NAMES, spelled out so that the command table does not load
 # every layer; tests/test_verify.py pins the two equal.
 VERIFY_SUITES = ("arith", "poset", "tiling", "paths", "fence", "all")
@@ -221,28 +230,47 @@ def _coord_text(v) -> str:
     return f"{v.j},{v.s}"
 
 
-def _cmd_fibonomial(args, out: _Output) -> int:
+def _fibonomial_within(shape: str, log_phi: int, limit: int, unsafe: bool):
+    """seqcore.fibonomial, once a shape whose values have log_phi as the sum
+    of their k (n - k) is within its limit of estimated bits."""
+    bits = log_phi * 694 // 1000
+    ensure_within(f"fibonomial {shape} bits estimate", bits, limit, unsafe)
     from .seqcore import fibonomial
 
+    return fibonomial
+
+
+def _cmd_fibonomial(args, out: _Output) -> int:
+    n, k, unsafe = args.n, args.k, args.unsafe_limits
     if args.triangle is not None:
-        if args.n is not None:
+        if n is not None:
             raise ValueError("fibonomial takes either N (with optional K) or --triangle ROWS")
-        if args.triangle < 0:
+        r = args.triangle
+        if r < 0:
             raise ValueError("--triangle rows must be >= 0")
+        # sum over rows m <= r of (m - 1) m (m + 1) / 6
+        log_phi = (r - 1) * r * (r + 1) * (r + 2) // 24
+        fibonomial = _fibonomial_within("triangle", log_phi, FIBONOMIAL_TRIANGLE_BITS_LIMIT, unsafe)
 
         def rows():  # computed as they are written; JSON alone holds them all
-            return ([fibonomial(n, k) for k in range(n + 1)] for n in range(args.triangle + 1))
+            return ([fibonomial(m, j) for j in range(m + 1)] for m in range(r + 1))
 
-        inputs, result = {"triangle": args.triangle}, lambda: list(rows())
-    elif args.n is None:
+        inputs, result = {"triangle": r}, lambda: list(rows())
+    elif n is None:
         raise ValueError("fibonomial needs N (with optional K) or --triangle ROWS")
-    elif args.k is None:
-        if args.n < 0:
-            raise ValueError(f"indices must be >= 0, got {args.n}")
-        row = [fibonomial(args.n, k) for k in range(args.n + 1)]
-        inputs, result, rows = {"n": args.n}, lambda: row, lambda: [row]
+    elif k is None:
+        if n < 0:
+            raise ValueError(f"indices must be >= 0, got {n}")
+        # sum over j <= n of j (n - j)
+        log_phi = (n - 1) * n * (n + 1) // 6
+        fibonomial = _fibonomial_within("row", log_phi, FIBONOMIAL_ROW_BITS_LIMIT, unsafe)
+        row = [fibonomial(n, j) for j in range(n + 1)]
+        inputs, result, rows = {"n": n}, lambda: row, lambda: [row]
     else:
-        out.emit_value({"n": args.n, "k": args.k}, fibonomial(args.n, args.k))
+        # seqcore refuses a negative index and gives 0 for k > n at once
+        log_phi = k * (n - k) if 0 <= k <= n else 0
+        fibonomial = _fibonomial_within("value", log_phi, FIBONOMIAL_BITS_LIMIT, unsafe)
+        out.emit_value({"n": n, "k": k}, fibonomial(n, k))
         return 0
     out.emit(inputs, result, rows)
     return 0

@@ -18,11 +18,15 @@ order-indicator matrix without the level layout, the independent route
 per level, so a build peaks at about the matrix it returns. The Mobius matrix
 and the chain-count prefix products are cached for the last height asked
 for, because queries read them once per entry; the order-indicator matrices
-are built afresh on each call. A matrix is the tuple of its rows, checked
-once and equal to that tuple; the poset is a frozen slotted class. Neither is
-a dataclass: importing `dataclasses` (and `inspect`) would add about 10 ms to
-the start-up of every poset command. The dense product zeta * mobius and the
-brute-force chain count live in `verify`.
+are built afresh on each call. A warm query (`leq`, `level_of`, `coord_of`,
+`count_all_chains`) tests its indices with one chained comparison and finds
+each vertex's level with one `bisect_right` on `level_starts`, in its own
+frame; only an index out of range goes on to `_check_index`, whose message
+names the first bad index, x before y. A matrix is the tuple of its rows,
+checked once and equal to that tuple; the poset is a frozen slotted class.
+Neither is a dataclass: importing `dataclasses` (and `inspect`) would add
+about 10 ms to the start-up of every poset command. The dense product
+zeta * mobius and the brute-force chain count live in `verify`.
 """
 
 from __future__ import annotations
@@ -111,12 +115,12 @@ class CobwebPoset:
 
     def coord_of(self, x: int) -> VertexCoord:
         """Inverse of linear_index."""
-        self._check_index(x)
-        s = bisect_right(self.level_starts, x)
+        s = self.level_of(x)
         return VertexCoord(x - self.level_starts[s - 1] + 1, s)
 
     def level_of(self, x: int) -> int:
-        self._check_index(x)
+        if not 1 <= x <= self.vertex_count:
+            self._check_index(x)
         return bisect_right(self.level_starts, x)
 
     def level_range(self, s: int) -> range:
@@ -128,10 +132,14 @@ class CobwebPoset:
 
     def leq(self, x: int, y: int) -> bool:
         """Order relation on linear indices."""
-        if x == y:
+        n = self.vertex_count
+        if not (1 <= x <= n and 1 <= y <= n):
             self._check_index(x)
+            self._check_index(y)
+        if x == y:
             return True
-        return self.level_of(x) < self.level_of(y)
+        starts = self.level_starts
+        return bisect_right(starts, x) < bisect_right(starts, y)
 
     def hasse_edges(self) -> Iterator[Tuple[int, int]]:
         """Cover pairs (lower, upper), between consecutive levels only."""
@@ -287,12 +295,15 @@ def enumerate_max_chains(
 
 def count_all_chains(p: CobwebPoset, x: int, y: int) -> int:
     """Chains x = z_0 < ... < z_t = y of every length; 0 for incomparable pairs."""
-    p._check_index(x)
-    p._check_index(y)
+    n = p.vertex_count
+    if not (1 <= x <= n and 1 <= y <= n):
+        p._check_index(x)
+        p._check_index(y)
     if x >= y:
         return 1 if x == y else 0
-    s = bisect_right(p.level_starts, x)
-    t = bisect_right(p.level_starts, y)
+    starts = p.level_starts
+    s = bisect_right(starts, x)
+    t = bisect_right(starts, y)
     if s == t:
         return 0
     prefix = _chain_prefix(p.max_level)

@@ -70,6 +70,8 @@ def s_coeff(w: Iterable[int], k: int) -> int:
     ws = _coerce(w)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    if not ws:
+        return int(k == 0)
     row = [1] + [0] * k
     for w_i in ws:
         for j in range(1, k + 1):

@@ -334,6 +334,51 @@ def test_fence_guard_refuses_before_computing(argv, exit_code, timeout):
         assert "guard exceeded" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,guard",
+    [
+        # each ran past 8 s unguarded
+        (["fibonomial", "100000", "50000"], "value bits estimate = 1735000000"),
+        (["fibonomial", "5000"], "row bits estimate = 14458332755"),
+        (["fibonomial", "--triangle", "5000"], "triangle bits estimate = 18080145110127"),
+        # ran past 20 s unguarded
+        (["fibonomial", "20000", "10000"], "value bits estimate = 69400000"),
+    ],
+)
+def test_fibonomial_guards_refuse_before_computing(argv, guard):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    first, second = proc.stderr.splitlines()
+    assert first.startswith(f"guard exceeded: fibonomial {guard} exceeds guard limit ")
+    assert second == "rerun with --unsafe-limits to override"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fibonomial", "5000", "2500"],
+        ["fibonomial", "600"],
+        ["fibonomial", "--triangle", "300"],
+        ["fibonomial", "2000", "1000", "--format", "json"],
+        ["fibonomial", "--triangle", "200"],
+        ["fibonomial", "7", "20000000"],  # k > n is 0 at once
+        ["fibonomial", "100000", "50000", "--unsafe-limits"],
+    ],
+)
+def test_fibonomial_guards_admit(monkeypatch, capsys, argv):
+    # the values are not computed: only the guards are under test
+    monkeypatch.setattr("fibcobweb.seqcore.fibonomial", lambda n, k: 0)
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert "guard exceeded" not in err
+
+
 def test_chains_refuses_a_start_level_above_the_target_before_building():
     # Building the height-3000000 poset would store every level size, far
     # past the 1 GiB address-space limit of the child.

@@ -72,6 +72,35 @@ def test_coordinate_validation():
         p.coord_of(p.vertex_count + 1)
 
 
+P4 = build(4)  # 7 vertices
+
+
+@pytest.mark.parametrize(
+    "query, bad",
+    [
+        (lambda: P4.leq(0, 3), 0),
+        (lambda: P4.leq(3, 99), 99),
+        (lambda: P4.leq(0, 99), 0),  # two bad indices name x
+        (lambda: P4.leq(99, 99), 99),
+        (lambda: P4.level_of(0), 0),
+        (lambda: P4.coord_of(8), 8),
+        (lambda: count_all_chains(P4, 0, 99), 0),
+        (lambda: count_all_chains(P4, 2, 99), 99),
+    ],
+)
+def test_queries_name_the_first_bad_index(query, bad):
+    with pytest.raises(ValueError) as info:
+        query()
+    assert str(info.value) == f"linear index {bad} out of range 1..7"
+
+
+@pytest.mark.parametrize("x, y", [(0, 8), (1, 8)])
+def test_matrix_entries_out_of_range(x, y):
+    with pytest.raises(ValueError) as info:
+        mobius(P4).entry(x, y)
+    assert str(info.value) == f"entry ({x}, {y}) out of range 1..7"
+
+
 def test_order_relation():
     p = build(6)
     assert p.leq(1, 1)
@@ -278,11 +307,12 @@ def test_count_all_chains():
     assert count_all_chains(p3, 1, 3) == 2
     assert count_all_chains(p3, 3, 4) == 0
     assert count_all_chains(p3, 4, 1) == 0
-    p4 = build(4)
-    for x in range(1, p4.vertex_count + 1):
-        for y in range(1, p4.vertex_count + 1):
-            want = _chains_brute(p4, x, y) if p4.leq(x, y) else 0
-            assert count_all_chains(p4, x, y) == want
+    for n in range(1, 7):
+        p = build(n)
+        for x in range(1, p.vertex_count + 1):
+            for y in range(1, p.vertex_count + 1):
+                want = _chains_brute(p, x, y) if p.leq(x, y) else 0
+                assert count_all_chains(p, x, y) == want
 
 
 def test_count_all_chains_beyond_dense_range():

@@ -70,12 +70,15 @@ def test_a_command_loads_only_what_it_runs():
         assert "fibcobweb.cobweb" in loaded, argv
         unwanted = {"fibcobweb.tiling", "fibcobweb.verify", "dataclasses", "inspect"}
         assert not loaded & unwanted, argv
-    # a guard or usage refusal comes before the poset layer is loaded
+    # a guard or usage refusal comes before the layer it guards is loaded
     for argv, exit_code in (
         (("mobius", "13"), 3),
         (("hasse", "11"), 3),
         (("chains", "1", "3000"), 3),
         (("chains", "5", "3"), 2),
+        (("fibonomial", "100000", "50000"), 3),
+        (("fibonomial", "5000"), 3),
+        (("fibonomial", "--triangle", "5000"), 3),
     ):
         loaded = _parsed_by_table(*argv, exit_code=exit_code)
         assert not loaded & {"fibcobweb.cobweb", "fibcobweb.seqcore"}, argv

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -70,6 +72,21 @@ def test_s_coeff_examples():
     assert s_coeff((4, 9), 0) == 1
     # no k >= 1 objects can be chosen from no boxes, as in the first kind
     assert s_coeff((), 1) == 0
+
+
+def test_s_coeff_over_no_boxes_builds_no_row():
+    # a (k + 1)-cell row at k = 10**12 would need terabytes
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert s_coeff((), 10**12) == 0
+        assert s_coeff((), 0) == 1
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1 << 20
 
 
 def test_oracle_examples():
