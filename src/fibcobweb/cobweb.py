@@ -98,7 +98,9 @@ class CobwebPoset:
                 f"linear index {x} out of range 1..{self.vertex_count}"
             )
 
-    def _check_coord(self, v: VertexCoord) -> None:
+    def _check_coord(self, v: VertexCoord) -> VertexCoord:
+        """v as a VertexCoord of integers, once it lies in the poset."""
+        v = VertexCoord(*map(index, v))
         if not 1 <= v.s <= self.max_level:
             raise ValueError(f"level {v.s} out of range 1..{self.max_level}")
         if not 1 <= v.j <= self.level_sizes[v.s - 1]:
@@ -106,11 +108,11 @@ class CobwebPoset:
                 f"position {v.j} out of range 1..{self.level_sizes[v.s - 1]}"
                 f" at level {v.s}"
             )
+        return v
 
     def linear_index(self, v: VertexCoord) -> int:
         """1-based linear index of v: F_{s+1} - 1 + j."""
-        v = VertexCoord(*v)
-        self._check_coord(v)
+        v = self._check_coord(v)
         return self.level_starts[v.s - 1] - 1 + v.j
 
     def coord_of(self, x: int) -> VertexCoord:
@@ -272,8 +274,7 @@ def mobius(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
 
 def count_max_chains_from_vertex(p: CobwebPoset, v: VertexCoord, n: int) -> int:
     """Maximal chains from v (any vertex of its level) up to level n."""
-    v = VertexCoord(*v)
-    p._check_coord(v)
+    v, n = p._check_coord(v), index(n)
     if not v.s <= n <= p.max_level:
         raise ValueError(f"target level {n} out of range {v.s}..{p.max_level}")
     return f_falling(n, n - v.s)
@@ -283,7 +284,7 @@ def enumerate_max_chains(
     p: CobwebPoset, v: VertexCoord, n: int, unsafe_limits: bool = False
 ) -> List[Tuple[VertexCoord, ...]]:
     """All maximal chains from v to level n, in lexicographic order."""
-    v = VertexCoord(*v)
+    v, n = p._check_coord(v), index(n)
     total = count_max_chains_from_vertex(p, v, n)
     ensure_within("maximal chain count", total, ENUMERATION_LIMIT, unsafe_limits)
     upper = [

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product, repeat
+from operator import index
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .cobweb import VertexCoord
@@ -65,13 +66,16 @@ class TilingSolution:
         return {chain: idx for idx, c in enumerate(self.copies) for chain in product(*c.chosen)}
 
 
-def _validate(k: int, r: int, m: int) -> None:
+def _validate(k: int, r: int, m: int) -> Tuple[int, int, int]:
+    """(k, r, m) as integers, once the root and the height are valid."""
+    k, r, m = index(k), index(r), index(m)
     if k < 1:
         raise ValueError(f"root level must be >= 1, got {k}")
     if not 1 <= r <= fib(k):
         raise ValueError(f"root position {r} out of range 1..{_shown(fib(k))} at level {k}")
     if m < 1:
         raise ValueError(f"height must be >= 1, got {m}")
+    return k, r, m
 
 
 def copy_count(k: int, m: int) -> int:
@@ -90,9 +94,8 @@ def no_cover_reason(k: int, m: int) -> Optional[str]:
     return None
 
 
-def _reason_after_guards(k: int, r: int, m: int, unsafe_limits: bool) -> Optional[str]:
-    """no_cover_reason(k, m), once the root is valid and the universe guarded."""
-    _validate(k, r, m)
+def _reason_after_guard(k: int, m: int, unsafe_limits: bool) -> Optional[str]:
+    """no_cover_reason(k, m), once the chain universe is guarded."""
     universe_size = f_falling(k + m, m)
     ensure_within("chain universe size", universe_size, UNIVERSE_LIMIT, unsafe_limits)
     return no_cover_reason(k, m)
@@ -108,7 +111,8 @@ def find_tiling(
     guards. The tiling has fibonomial(k+m, m) copies; verify checks it
     against the first cover of the exact-cover search where that is feasible.
     """
-    if _reason_after_guards(k, r, m, unsafe_limits):
+    k, r, m = _validate(k, r, m)
+    if _reason_after_guard(k, m, unsafe_limits):
         return None
     blocks = []
     for s in range(1, m + 1):
@@ -131,7 +135,8 @@ def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> in
     one chain for m <= 2 and a line of F_{k+3} chains cut into pairs for
     m = 3. For m >= 4 (then 12 | k, and the smallest fibre is a 610 x 987
     grid of 2 x 3 boxes) no closed form is known: ValueError."""
-    if _reason_after_guards(k, r, m, unsafe_limits):
+    k, r, m = _validate(k, r, m)
+    if _reason_after_guard(k, m, unsafe_limits):
         return 0
     if m <= 2:
         return 1
@@ -140,11 +145,21 @@ def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> in
     return _pair_tilings(fib(k + 1), fib(k + 2), fib(k + 3))
 
 
+def _integers(values) -> bool:
+    """Whether operator.index takes every value."""
+    try:
+        for v in values:
+            index(v)
+    except TypeError:
+        return False
+    return True
+
+
 def verify_tiling(t: TilingSolution) -> bool:
-    """Structural check: a valid root of height m >= 1 shared by every copy;
-    each copy of height m with, at every level k+s, F_s distinct positions in
-    1..F_{k+s}; and families pairwise disjoint and covering all
-    f_falling(k+m, m) chains.
+    """Structural check: a valid integer root of integer height m >= 1 shared
+    by every copy; each copy of height m with, at every level k+s, F_s
+    distinct integer positions in 1..F_{k+s}; and families pairwise disjoint
+    and covering all f_falling(k+m, m) chains.
 
     Each distinct subset object is checked once per level, so the block
     tuples that find_tiling shares between copies cost one check each. A copy
@@ -152,7 +167,7 @@ def verify_tiling(t: TilingSolution) -> bool:
     disjoint iff the set of their chains has len(copies) * prod F_s members.
     The cost is linear in the chains."""
     k, m = t.root.s, t.height
-    if not (k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
+    if not (_integers((k, t.root.j, m)) and k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
         return False
     copies = t.copies
     if any(c.root != t.root or len(c.chosen) != m for c in copies):
@@ -163,7 +178,7 @@ def verify_tiling(t: TilingSolution) -> bool:
         for subset in {id(subset): subset for subset in level}.values():
             if len(subset) != size or len(set(subset)) != size:
                 return False
-            if not (1 <= min(subset) and max(subset) <= top):
+            if not (_integers(subset) and 1 <= min(subset) and max(subset) <= top):
                 return False
     chains = {chain for c in copies for chain in product(*c.chosen)}
     return len(chains) == len(copies) * math.prod(sizes) == f_falling(k + m, m)

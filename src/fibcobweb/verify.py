@@ -1,8 +1,11 @@
 """Self-verification suites: every library invariant at its contract range.
 
 Each check compares two independent computation routes (closed form vs
-recurrence, construction vs formula, search vs arithmetic, ...) and reports a
-counterexample on failure. The CLI surfaces these as `verify --suite NAME`.
+recurrence, construction vs formula, search vs arithmetic, ...) and returns
+a verdict: `_ok` with what it covered, or `_fail` with a counterexample.
+`SUITES` names each check once; `run_suite` reports its verdict and wall
+time under that name, a check that raises included. The CLI surfaces these
+as `verify --suite NAME`.
 
 The routes that only these checks run live here, not in the layers every
 command loads: the dense matrix product, the box-grid copy enumeration and
@@ -15,9 +18,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement, product
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import cli, cobweb, fence, gvpaths, tiling, weighted
 from .guards import ensure_within
@@ -35,48 +37,55 @@ TILING_INSTANCES = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 CANDIDATE_LIMIT = 10**5
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class Verdict(NamedTuple):
+    """Whether a check held, and what it covered or where it failed."""
+
+    passed: bool
+    detail: str
+
+
+class CheckResult(NamedTuple):
+    """A check's verdict under its name in SUITES, with its wall time."""
+
     name: str
     passed: bool
-    detail: str = ""
-    seconds: float = field(default=0.0, compare=False)
+    detail: str
+    seconds: float = 0.0
 
 
-def _result(name: str, counterexample: Optional[str], ok_detail: str = "") -> CheckResult:
-    if counterexample is None:
-        return CheckResult(name, True, ok_detail)
-    return CheckResult(name, False, f"counterexample: {counterexample}")
+def _ok(detail: str) -> Verdict:
+    return Verdict(True, detail)
+
+
+def _fail(counterexample: str) -> Verdict:
+    return Verdict(False, f"counterexample: {counterexample}")
 
 
 # ---------------------------------------------------------------- arithmetic
 
 
-def check_fibonomial_symmetry(max_n: int = 40) -> CheckResult:
+def check_fibonomial_symmetry(max_n: int = 40) -> Verdict:
     """fibonomial(n, k), a product of primitive parts, against the independent
     quotient f_falling(n, n - k) / f_factorial(n - k), checked exact."""
     for n in range(max_n + 1):
         for k in range(n + 1):
             q, r = divmod(f_falling(n, n - k), f_factorial(n - k))
             if r or fibonomial(n, k) != q:
-                return _result("fibonomial symmetry", f"(n, k) = ({n}, {k})")
-    return _result("fibonomial symmetry", None, f"n <= {max_n}")
+                return _fail(f"(n, k) = ({n}, {k})")
+    return _ok(f"n <= {max_n}")
 
 
-def check_fibonomial_recurrences(max_n: int = 31) -> CheckResult:
+def check_fibonomial_recurrences(max_n: int = 31) -> Verdict:
     for n in range(max_n + 1):
         for k in range(n + 1):
             want = fibonomial(n, k)
             for variant in ("A", "B"):
                 if fibonomial_rec(n, k, variant) != want:
-                    return _result(
-                        "fibonomial recurrence consistency",
-                        f"variant {variant} at (n, k) = ({n}, {k})",
-                    )
-    return _result("fibonomial recurrence consistency", None, f"n <= {max_n}")
+                    return _fail(f"variant {variant} at (n, k) = ({n}, {k})")
+    return _ok(f"n <= {max_n}")
 
 
-def check_fibonomial_integrality(max_n: int = 200) -> CheckResult:
+def check_fibonomial_integrality(max_n: int = 200) -> Verdict:
     for n in range(max_n + 1):
         falling = factorial = 1
         for k in range(n + 1):
@@ -84,43 +93,36 @@ def check_fibonomial_integrality(max_n: int = 200) -> CheckResult:
                 falling *= fib(n - k + 1)
                 factorial *= fib(k)
             if falling % factorial != 0:
-                return _result("fibonomial integrality", f"(n, k) = ({n}, {k})")
-    return _result("fibonomial integrality", None, f"n <= {max_n}")
+                return _fail(f"(n, k) = ({n}, {k})")
+    return _ok(f"n <= {max_n}")
 
 
-def check_falling_factorial_identity(max_n: int = 40) -> CheckResult:
+def check_falling_factorial_identity(max_n: int = 40) -> Verdict:
     for n in range(max_n + 1):
         for k in range(n + 1):
             if f_falling(n, k) * f_factorial(n - k) != f_factorial(n):
-                return _result(
-                    "falling times complementary factorial", f"(n, k) = ({n}, {k})"
-                )
-    return _result("falling times complementary factorial", None, f"n <= {max_n}")
+                return _fail(f"(n, k) = ({n}, {k})")
+    return _ok(f"n <= {max_n}")
 
 
-def check_q_binomial_coefficients(max_n: int = 12) -> CheckResult:
+def check_q_binomial_coefficients(max_n: int = 12) -> Verdict:
     for n in range(max_n + 1):
         for k in range(n + 1):
             poly = q_binomial(n, k)
             if any(c < 0 for c in poly.coeffs):
-                return _result(
-                    "q-binomial coefficient nonnegativity", f"(n, k) = ({n}, {k})"
-                )
+                return _fail(f"nonnegativity at (n, k) = ({n}, {k})")
             if poly.evaluate(1) != math.comb(n, k):
-                return _result(
-                    "q-binomial coefficient sum", f"(n, k) = ({n}, {k})"
-                )
-    return _result("q-binomial coefficient nonnegativity and sum", None, f"n <= {max_n}")
+                return _fail(f"sum at (n, k) = ({n}, {k})")
+    return _ok(f"n <= {max_n}")
 
 
-def check_decimal_strings(max_bits: int = 600) -> CheckResult:
+def check_decimal_strings(max_bits: int = 600) -> Verdict:
     """The CLI's decimal_str against str(). Its recursive route, at any size,
     on 2^w - 1, 2^w, 2^w + 1 and 2^w +- 2^(w // 2) (a one bit at the first
     split) for every w <= max_bits, which straddles the 128-bit leaves and
     three levels of split points; then decimal_str itself on both sides
     of the crossover cli.DECIMAL_STR_BITS, in bits and in digits. 0 and
     each value's negative too."""
-    name = "long decimal strings vs str()"
     small = [0]
     for w in range(max_bits + 1):
         small += [(1 << w) + d for d in (-1, 0, 1, 1 << w // 2, -(1 << w // 2))]
@@ -132,9 +134,9 @@ def check_decimal_strings(max_bits: int = 600) -> CheckResult:
             for n in (v for value in values for v in (value, -value)):
                 if route(n) != str(n):
                     where = f"{route.__name__} of a {n.bit_length()}-bit n"
-                    return _result(name, f"{where} = {n % 1000} mod 1000")
+                    return _fail(f"{where} = {n % 1000} mod 1000")
     detail = f"{2 * len(small)} values up to {max_bits + 1} bits, {2 * len(large)} near {top}"
-    return _result(name, None, detail)
+    return _ok(detail)
 
 
 def _weight_vectors(max_len: int, entries: Tuple[int, ...]):
@@ -145,29 +147,25 @@ def _weight_vectors(max_len: int, entries: Tuple[int, ...]):
 
 def check_konvalina_oracles(
     max_len: int = 8, entries: Tuple[int, ...] = (1, 2, 3), max_k: int = 8
-) -> CheckResult:
+) -> Verdict:
     for ws in _weight_vectors(max_len, entries):
         for k in range(max_k + 1):
             if weighted.c_coeff(ws, k) != weighted.c_coeff_oracle(ws, k):
-                return _result("first-kind coefficient vs oracle", f"w = {ws}, k = {k}")
+                return _fail(f"first kind, w = {ws}, k = {k}")
             if weighted.s_coeff(ws, k) != weighted.s_coeff_oracle(ws, k):
-                return _result("second-kind coefficient vs oracle", f"w = {ws}, k = {k}")
-    return _result(
-        "weighted coefficients vs brute-force oracles",
-        None,
-        f"len <= {max_len} over {entries}, k <= {max_k}",
-    )
+                return _fail(f"second kind, w = {ws}, k = {k}")
+    return _ok(f"len <= {max_len} over {entries}, k <= {max_k}")
 
 
-def check_konvalina_binomial_preset(max_n: int = 10, max_k: int = 10) -> CheckResult:
+def check_konvalina_binomial_preset(max_n: int = 10, max_k: int = 10) -> Verdict:
     for n in range(1, max_n + 1):
         ones = weighted.preset_weights("ones", n)
         for k in range(max_k + 1):
             if weighted.c_coeff(ones, k) != math.comb(n, k):
-                return _result("ones preset, first kind", f"(n, k) = ({n}, {k})")
+                return _fail(f"first kind at (n, k) = ({n}, {k})")
             if weighted.s_coeff(ones, k) != math.comb(n + k - 1, k):
-                return _result("ones preset, second kind", f"(n, k) = ({n}, {k})")
-    return _result("ones preset reproduces binomials", None, f"n, k <= {max_n}")
+                return _fail(f"second kind at (n, k) = ({n}, {k})")
+    return _ok(f"n, k <= {max_n}")
 
 
 def _stirling(n: int, k: int, weight: Callable[[int, int], int]) -> int:
@@ -194,54 +192,39 @@ def stirling2(n: int, k: int) -> int:
     return _stirling(n, k, lambda i, j: j)
 
 
-def check_konvalina_stirling_presets(max_n: int = 7, max_k: int = 7) -> CheckResult:
+def check_konvalina_stirling_presets(max_n: int = 7, max_k: int = 7) -> Verdict:
     for n in range(1, max_n + 1):
         arith = weighted.preset_weights("arithmetic", n)
         for k in range(max_k + 1):
             if weighted.c_coeff(arith, k) != stirling1_unsigned(n + 1, n + 1 - k):
-                return _result(
-                    "arithmetic preset, first kind vs Stirling triangle",
-                    f"(n, k) = ({n}, {k})",
-                )
+                return _fail(f"first kind vs Stirling triangle at (n, k) = ({n}, {k})")
             if weighted.s_coeff(arith, k) != stirling2(n + k, n):
-                return _result(
-                    "arithmetic preset, second kind vs Stirling triangle",
-                    f"(n, k) = ({n}, {k})",
-                )
-    return _result(
-        "arithmetic preset reproduces Stirling numbers", None, f"n, k <= {max_n}"
-    )
+                return _fail(f"second kind vs Stirling triangle at (n, k) = ({n}, {k})")
+    return _ok(f"n, k <= {max_n}")
 
 
 def check_konvalina_gaussian_preset(
     max_n: int = 6, max_k: int = 6, qs: Tuple[int, ...] = (2, 3)
-) -> CheckResult:
+) -> Verdict:
     for q in qs:
         for n in range(1, max_n + 1):
             geo = weighted.preset_weights("geometric", n, q)
             for k in range(max_k + 1):
                 if weighted.s_coeff(geo, k) != q_binomial(n + k - 1, k).evaluate(q):
-                    return _result(
-                        "geometric preset, second kind vs q-binomial",
-                        f"(n, k, q) = ({n}, {k}, {q})",
-                    )
-    return _result(
-        "geometric preset reproduces q-binomials", None, f"n, k <= {max_n}, q in {qs}"
-    )
+                    return _fail(f"second kind vs q-binomial at (n, k, q) = ({n}, {k}, {q})")
+    return _ok(f"n, k <= {max_n}, q in {qs}")
 
 
 # --------------------------------------------------------------------- poset
 
 
-def check_zeta_equivalence(max_level: int = 10) -> CheckResult:
+def check_zeta_equivalence(max_level: int = 10) -> Verdict:
     for level in range(1, max_level + 1):
         p = cobweb.build(level)
         diff = cobweb.zeta_from_order(p).first_difference(cobweb.zeta_explicit(p))
         if diff is not None:
-            return _result(
-                "zeta construction equivalence", f"N = {level}, entry {diff}"
-            )
-    return _result("zeta construction equivalence", None, f"N <= {max_level}")
+            return _fail(f"N = {level}, entry {diff}")
+    return _ok(f"N <= {max_level}")
 
 
 def _dense_product(a, b) -> List[List[int]]:
@@ -260,7 +243,7 @@ def _dense_product(a, b) -> List[List[int]]:
     return out
 
 
-def check_mobius_inverse(max_level: int = 10) -> CheckResult:
+def check_mobius_inverse(max_level: int = 10) -> Verdict:
     """zeta * mobius and mobius * zeta, multiplied densely, against the
     Kronecker delta entry by entry."""
     for level in range(1, max_level + 1):
@@ -268,11 +251,11 @@ def check_mobius_inverse(max_level: int = 10) -> CheckResult:
         zeta, mob = cobweb.zeta_from_order(p), cobweb.mobius(p)
         for rows in (_dense_product(zeta, mob), _dense_product(mob, zeta)):
             if any(v != (x == y) for x, row in enumerate(rows) for y, v in enumerate(row)):
-                return _result("mobius inverse", f"N = {level}")
-    return _result("mobius inverse", None, f"N <= {max_level}")
+                return _fail(f"N = {level}")
+    return _ok(f"N <= {max_level}")
 
 
-def check_mobius_alternating_sum(max_level: int = 6) -> CheckResult:
+def check_mobius_alternating_sum(max_level: int = 6) -> Verdict:
     p = cobweb.build(max_level)
     zeta = cobweb.zeta_from_order(p)
     mob = cobweb.mobius(p)
@@ -287,11 +270,11 @@ def check_mobius_alternating_sum(max_level: int = 6) -> CheckResult:
                 if zeta.entry(x, z) and zeta.entry(z, y)
             )
             if total != (1 if x == y else 0):
-                return _result("mobius alternating sum", f"(x, y) = ({x}, {y})")
-    return _result("mobius alternating sum", None, f"N = {max_level}")
+                return _fail(f"(x, y) = ({x}, {y})")
+    return _ok(f"N = {max_level}")
 
 
-def check_chain_observations(max_level: int = 6) -> CheckResult:
+def check_chain_observations(max_level: int = 6) -> Verdict:
     """Closed-form maximal-chain counts against the enumerated chains."""
     p = cobweb.build(max_level)
     for k in range(1, max_level + 1):
@@ -300,10 +283,8 @@ def check_chain_observations(max_level: int = 6) -> CheckResult:
             for n in range(k, max_level + 1):
                 found = len(cobweb.enumerate_max_chains(p, v, n))
                 if cobweb.count_max_chains_from_vertex(p, v, n) != found:
-                    return _result(
-                        "vertex chain count vs enumeration", f"v = ({j}, {k}), n = {n}"
-                    )
-    return _result("maximal chain observations", None, f"levels <= {max_level}")
+                    return _fail(f"vertex chain count vs enumeration at v = ({j}, {k}), n = {n}")
+    return _ok(f"levels <= {max_level}")
 
 
 def _count_chains_brute(p: cobweb.CobwebPoset, x: int, y: int, memo: dict) -> int:
@@ -319,7 +300,7 @@ def _count_chains_brute(p: cobweb.CobwebPoset, x: int, y: int, memo: dict) -> in
     return memo[key]
 
 
-def check_chain_counts(max_level: int = 5) -> CheckResult:
+def check_chain_counts(max_level: int = 5) -> Verdict:
     p = cobweb.build(max_level)
     memo: dict = {}
     for x in range(1, p.vertex_count + 1):
@@ -330,8 +311,8 @@ def check_chain_counts(max_level: int = 5) -> CheckResult:
                 else 0
             )
             if cobweb.count_all_chains(p, x, y) != want:
-                return _result("all-chain counts vs brute force", f"(x, y) = ({x}, {y})")
-    return _result("all-chain counts vs brute force", None, f"N = {max_level}")
+                return _fail(f"(x, y) = ({x}, {y})")
+    return _ok(f"N = {max_level}")
 
 
 # -------------------------------------------------------------------- tiling
@@ -362,17 +343,16 @@ def _copy_shape(k: int, m: int):
 
 def check_copy_enumeration(
     pairs=((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
-) -> CheckResult:
+) -> Verdict:
     """The box grid of each (k, m): copy_count(k, m) copies of f_factorial(m)
     chains each."""
-    name = "copy enumeration counts"
     for k, m in pairs:
         _, boxes, cells = _box_grid(*_copy_shape(k, m))
         if len(boxes) != tiling.copy_count(k, m):
-            return _result(name, f"(k, m) = ({k}, {m}) copy count")
+            return _fail(f"(k, m) = ({k}, {m}) copy count")
         if any(len(chains) != f_factorial(m) for chains in cells):
-            return _result(name, f"(k, m) = ({k}, {m}) chains per copy")
-    return _result(name, None, f"pairs {pairs}")
+            return _fail(f"(k, m) = ({k}, {m}) chains per copy")
+    return _ok(f"pairs {pairs}")
 
 
 def _covers(universe, families) -> Iterator[List[int]]:
@@ -445,23 +425,22 @@ def _first_box_cover(sizes, sides) -> Optional[list]:
 
 def check_divisibility_rule(
     instances: Tuple[Tuple[int, int], ...] = TILING_INSTANCES + ((1, 4), (3, 3), (7, 2))
-) -> CheckResult:
+) -> Verdict:
     """find_tiling against the exhaustive exact-cover search over all copies:
     no cover exists exactly when no_cover_reason fires, and otherwise the
     search's first cover is the constructed tiling, copy for copy. The box
     analog tells the exact rule from its top-level case: 2x2 boxes tile a
     4x4 grid but not a 3x4 grid, although 2 | 4."""
-    name = "tiling construction vs exact-cover search"
     for k, m in instances:
         cover = _first_box_cover(*_copy_shape(k, m))
         if (cover is None) != (tiling.no_cover_reason(k, m) is not None):
-            return _result(name, f"(k, m) = ({k}, {m}) divisibility rule")
+            return _fail(f"(k, m) = ({k}, {m}) divisibility rule")
         solution = tiling.find_tiling(k, 1, m)
         if cover is not None and [c.chosen for c in solution.copies] != cover:
-            return _result(name, f"(k, m) = ({k}, {m}) first cover")
+            return _fail(f"(k, m) = ({k}, {m}) first cover")
     if _first_box_cover((4, 4), (2, 2)) is None or _first_box_cover((3, 4), (2, 2)):
-        return _result(name, "2x2 boxes on the 4x4 and 3x4 grids")
-    return _result(name, None, f"(k, m) in {instances}; 2x2 boxes on 4x4, 3x4")
+        return _fail("2x2 boxes on the 4x4 and 3x4 grids")
+    return _ok(f"(k, m) in {instances}; 2x2 boxes on 4x4, 3x4")
 
 
 def tiling_outcomes(
@@ -472,7 +451,7 @@ def tiling_outcomes(
 
 def check_tiling_instances(
     instances: Tuple[Tuple[int, int], ...] = TILING_INSTANCES
-) -> CheckResult:
+) -> Verdict:
     """find_tiling outcomes: every found tiling must verify and carry exactly
     fibonomial(k+m, m) copies; absent tilings are reported with their reason."""
     found, absent = [], []
@@ -482,20 +461,16 @@ def check_tiling_instances(
             continue
         expected = fibonomial(k + m, m)
         if not tiling.verify_tiling(solution):
-            return _result(
-                "tiling construction", f"(k, m) = ({k}, {m}) failed verification"
-            )
+            return _fail(f"(k, m) = ({k}, {m}) failed verification")
         if len(solution.copies) != expected:
-            return _result(
-                "tiling construction",
-                f"(k, m) = ({k}, {m}) has {len(solution.copies)} copies,"
-                f" expected {expected}",
+            return _fail(
+                f"(k, m) = ({k}, {m}) has {len(solution.copies)} copies, expected {expected}"
             )
         found.append(f"({k},{m})")
     detail = f"tilings found: {', '.join(found) or 'none'}"
     if absent:
         detail += f"; no cover exists: {', '.join(absent)}"
-    return CheckResult("tiling construction on contract instances", True, detail)
+    return _ok(detail)
 
 
 def _tiled_instances():
@@ -512,7 +487,7 @@ def _tiled_instances():
         m += 1
 
 
-def check_recurrence_split() -> CheckResult:
+def check_recurrence_split() -> Verdict:
     """The Fibonomial recurrence read off each tiling from _tiled_instances.
     F_{k+m} = F_{m+1}F_k + F_m F_{k-1}: cut the top level k+m after position
     F_{m+1}F_k. No top subset straddles the cut, F_{m+1} (k+m-1 m)_F copies
@@ -520,7 +495,6 @@ def check_recurrence_split() -> CheckResult:
     those above are the (k, m-1) tiling's copies in order, each F_{k-1}
     times: variant B at n = k+m. The cut after F_{k+1}F_m leaves F_{k+1} (k+m-1 m-1)_F
     copies below and F_{m-1} (k+m-1 m)_F above: variant A."""
-    name = "Fibonomial recurrence split of the tiling"
     checked = []
     for k, m, t in _tiled_instances():
         where = f"(k, m) = ({k}, {m})"
@@ -532,16 +506,16 @@ def check_recurrence_split() -> CheckResult:
             ("A", fib(k + 1) * fib(m), [fib(k + 1) * lower, fib(m - 1) * upper]),
         ):
             if any(min(top) <= cut < max(top) for top in tops):
-                return _result(name, f"{where} a top subset straddles the cut at {cut}")
+                return _fail(f"{where} a top subset straddles the cut at {cut}")
             below = sum(max(top) <= cut for top in tops)
             if [below, len(tops) - below] != sizes:
-                return _result(name, f"{where} variant {variant} class sizes")
+                return _fail(f"{where} variant {variant} class sizes")
         above = [c.chosen[:-1] for c in t.copies if min(c.chosen[-1]) > cut_b]
         lower_copies = tiling.find_tiling(k, 1, m - 1).copies
         if above != [c.chosen for c in lower_copies for _ in range(fib(k - 1))]:
-            return _result(name, f"{where} variant B second class below the top level")
+            return _fail(f"{where} variant B second class below the top level")
         checked.append(f"({k},{m})")
-    return _result(name, None, f"variants A and B at {', '.join(checked)}")
+    return _ok(f"variants A and B at {', '.join(checked)}")
 
 
 # Tamperings of a tiling t, each a function (t, i, j, s, p) of two copy
@@ -550,10 +524,14 @@ def check_recurrence_split() -> CheckResult:
 # does not apply.
 
 
+def _with_copies(t: tiling.TilingSolution, copies) -> tiling.TilingSolution:
+    return tiling.TilingSolution(t.root, t.height, copies)
+
+
 def _with_copy(t: tiling.TilingSolution, i: int, root, chosen) -> tiling.TilingSolution:
     """t with copy i replaced by CopySpec(root, chosen)."""
     copy = tiling.CopySpec(root, tuple(chosen))
-    return replace(t, copies=t.copies[:i] + (copy,) + t.copies[i + 1:])
+    return _with_copies(t, t.copies[:i] + (copy,) + t.copies[i + 1:])
 
 
 def _with_subset(t: tiling.TilingSolution, i: int, s: int, subset) -> tiling.TilingSolution:
@@ -589,6 +567,12 @@ def _repeat_position(t, i, j, s, p):
     return _with_position(t, i, s, p, subset[(p + 1) % len(subset)])
 
 
+def _half_position(t, i, j, s, p):
+    """A position half a step down: still distinct, and in range above 1."""
+    subset = t.copies[i].chosen[s]
+    return _with_position(t, i, s, p, subset[p % len(subset)] - 0.5)
+
+
 def _extra_position(t, i, j, s, p):
     subset = t.copies[i].chosen[s]
     free = [pos for pos in range(1, fib(t.root.s + s + 1) + 1) if pos not in subset]
@@ -603,11 +587,8 @@ def _extra_level(t, i, j, s, p):
 
 
 TILING_TAMPERINGS = (
-    ("drop a copy", lambda t, i, j, s, p: replace(t, copies=t.copies[:i] + t.copies[i + 1:])),
-    (
-        "duplicate a copy",
-        lambda t, i, j, s, p: replace(t, copies=t.copies[:i + 1] + t.copies[i:]),
-    ),
+    ("drop a copy", lambda t, i, j, s, p: _with_copies(t, t.copies[:i] + t.copies[i + 1:])),
+    ("duplicate a copy", lambda t, i, j, s, p: _with_copies(t, t.copies[:i + 1] + t.copies[i:])),
     ("swap a level between two copies", _swap_level),
     ("position 0", lambda t, i, j, s, p: _with_position(t, i, s, p, 0)),
     (
@@ -615,9 +596,13 @@ TILING_TAMPERINGS = (
         lambda t, i, j, s, p: _with_position(t, i, s, p, fib(t.root.s + s + 1) + 1),
     ),
     ("repeated position", _repeat_position),
+    ("non-integer position", _half_position),
     ("extra position", _extra_position),
     ("extra level", _extra_level),
-    ("moved root", lambda t, i, j, s, p: replace(t, root=_other_root(t))),
+    (
+        "moved root",
+        lambda t, i, j, s, p: tiling.TilingSolution(_other_root(t), t.height, t.copies),
+    ),
     (
         "copy with another root",
         lambda t, i, j, s, p: _with_copy(t, i, _other_root(t), t.copies[i].chosen),
@@ -627,27 +612,24 @@ TILING_TAMPERINGS = (
 
 def check_tiling_rejections(
     instances: Tuple[Tuple[int, int], ...] = TILING_INSTANCES + ((3, 3),)
-) -> CheckResult:
+) -> Verdict:
     """verify_tiling on each tileable instance: the constructed tiling passes,
     and every tampering in TILING_TAMPERINGS, applied to the last copy (i),
     the first copy (j) and the top level, fails. Names the first tampering
     accepted."""
-    name = "tiling verification rejects tampered tilings"
     checked = []
     for k, m in instances:
         t = tiling.find_tiling(k, 1, m)
         if t is None:
             continue
         if not tiling.verify_tiling(t):
-            return _result(name, f"(k, m) = ({k}, {m}) constructed tiling rejected")
+            return _fail(f"(k, m) = ({k}, {m}) constructed tiling rejected")
         for label, tamper in TILING_TAMPERINGS:
             tampered = tamper(t, len(t.copies) - 1, 0, m - 1, 0)
             if tampered is not None and tiling.verify_tiling(tampered):
-                return _result(name, f"(k, m) = ({k}, {m}) accepted: {label}")
+                return _fail(f"(k, m) = ({k}, {m}) accepted: {label}")
         checked.append(f"({k},{m})")
-    return _result(
-        name, None, f"{len(TILING_TAMPERINGS)} tamperings of {', '.join(checked)}"
-    )
+    return _ok(f"{len(TILING_TAMPERINGS)} tamperings of {', '.join(checked)}")
 
 
 def check_tiling_counts(
@@ -655,51 +637,49 @@ def check_tiling_counts(
         (1, 1, 1), (1, 1, 2), (1, 1, 7), (1, 1, 8), (1, 2, 5),
         (1, 2, 6), (2, 2, 5), (2, 3, 4), (2, 3, 5), (3, 3, 3),
     ),
-) -> CheckResult:
+) -> Verdict:
     """count_all_tilings against counting every exact cover by search, over
     all copies for each (k, m) with at most 30 chains (all have k <= 7 and
     m <= 4), and the fibre count ((c - 1)!!)^(ab) against the search on
     a x b x c grids of boxes with sides 1, 1, 2."""
-    name = "tiling counts vs exact-cover search"
     for k, m in product(range(1, 8), range(1, 5)):
         if f_falling(k + m, m) > 30:
             continue
         grid, _, cells = _box_grid(*_copy_shape(k, m))
         if tiling.count_all_tilings(k, 1, m) != _count_covers(grid, cells):
-            return _result(name, f"(k, m) = ({k}, {m})")
+            return _fail(f"(k, m) = ({k}, {m})")
     for a, b, c in grids:
         grid, _, cells = _box_grid((a, b, c), (1, 1, 2))
         if tiling._pair_tilings(a, b, c) != _count_covers(grid, cells):
-            return _result(name, f"{a}x{b}x{c} grid of 1x1x2 boxes")
-    return _result(name, None, f"universe <= 30; 1x1x2 boxes on {len(grids)} grids")
+            return _fail(f"{a}x{b}x{c} grid of 1x1x2 boxes")
+    return _ok(f"universe <= 30; 1x1x2 boxes on {len(grids)} grids")
 
 
 # --------------------------------------------------------------------- paths
 
 
-def check_paths_identity(max_n: int = 12) -> CheckResult:
+def check_paths_identity(max_n: int = 12) -> Verdict:
     for n in range(max_n + 1):
         for k in range(n + 2):
             total = 0
             for r in combinations(range(n + 1), k):
                 value = det_exact(_path_matrix(r, n))
                 if value < 0:
-                    return _result("path count nonnegativity", f"R = {r}, n = {n}")
+                    return _fail(f"path count nonnegativity at R = {r}, n = {n}")
                 total += value
             if total != fibonomial(n + 1, k):
-                return _result("path determinant sum", f"(n, k) = ({n}, {k})")
-    return _result("path determinant sum identity", None, f"n <= {max_n}")
+                return _fail(f"(n, k) = ({n}, {k})")
+    return _ok(f"n <= {max_n}")
 
 
-def check_path_sum_rows(max_n: int = 20) -> CheckResult:
+def check_path_sum_rows(max_n: int = 20) -> Verdict:
     """The whole row of path sums that fibonomial_via_paths reads from the
     characteristic polynomial, against fibonomial(n + 1, k) for k = 0..n+1,
     at every n <= max_n and at the guard limit."""
-    name = "characteristic polynomial path sums"
     for n in (*range(max_n + 1), gvpaths.SUM_LIMIT):
         if gvpaths._path_sums(n) != [fibonomial(n + 1, k) for k in range(n + 2)]:
-            return _result(name, f"n = {n}")
-    return _result(name, None, f"n <= {max_n} and n = {gvpaths.SUM_LIMIT}")
+            return _fail(f"n = {n}")
+    return _ok(f"n <= {max_n} and n = {gvpaths.SUM_LIMIT}")
 
 
 def _path_matrix(r: Tuple[int, ...], n: int) -> List[List[int]]:
@@ -757,7 +737,7 @@ def det_cofactor(matrix) -> int:
     return total
 
 
-def check_determinant_routes(max_n: int = 8, max_k: int = 4) -> CheckResult:
+def check_determinant_routes(max_n: int = 8, max_k: int = 4) -> Verdict:
     """det_exact against det_cofactor on each path matrix and on its column
     reversal, the principal minor M[R][R] that gvpaths sums; only the
     reversals need row swaps."""
@@ -767,12 +747,8 @@ def check_determinant_routes(max_n: int = 8, max_k: int = 4) -> CheckResult:
                 matrix = _path_matrix(r, n)
                 for m in (matrix, [row[::-1] for row in matrix]):
                     if det_exact(m) != det_cofactor(m):
-                        return _result(
-                            "fraction-free vs cofactor determinant", f"R = {r}, n = {n}"
-                        )
-    return _result(
-        "fraction-free vs cofactor determinant", None, f"k <= {max_k}, n <= {max_n}"
-    )
+                        return _fail(f"R = {r}, n = {n}")
+    return _ok(f"k <= {max_k}, n <= {max_n}")
 
 
 # --------------------------------------------------------------------- fence
@@ -817,11 +793,11 @@ def count_filters_oracle(m: int) -> int:
     return _count_closed(m, up_closed=True)
 
 
-def check_fence_oracle(max_m: int = 15) -> CheckResult:
+def check_fence_oracle(max_m: int = 15) -> Verdict:
     for m in range(max_m + 1):
         if fence.count_ideals(m) != count_ideals_oracle(m):
-            return _result("fence ideals vs brute force", f"m = {m}")
-    return _result("fence ideals vs brute force", None, f"m <= {max_m}")
+            return _fail(f"m = {m}")
+    return _ok(f"m <= {max_m}")
 
 
 def linear_ideal_counts(max_m: int):
@@ -837,35 +813,34 @@ def linear_ideal_counts(max_m: int):
         out, inc = a * out + b * inc, c * out + d * inc
 
 
-def check_fence_transfer(max_m: int = 20001, every: int = 500) -> CheckResult:
+def check_fence_transfer(max_m: int = 20001, every: int = 500) -> Verdict:
     """count_ideals against the step-by-step transfer loop at every m <= every,
     at 2^j - 1, 2^j and 2^j + 1 (both parities, each bit pattern's ends) and
     at max_m - 1 and max_m."""
-    name = "fence ideals vs step-by-step transfer"
     points = {max_m - 1, max_m}
     for j in range(max_m.bit_length()):
         points.update(((1 << j) - 1, 1 << j, (1 << j) + 1))
     for m, want in enumerate(linear_ideal_counts(max_m)):
         if (m <= every or m in points) and fence.count_ideals(m) != want:
-            return _result(name, f"m = {m}")
-    return _result(name, None, f"m <= {every}, near powers of two and m = {max_m}")
+            return _fail(f"m = {m}")
+    return _ok(f"m <= {every}, near powers of two and m = {max_m}")
 
 
-def check_fence_fibonacci(max_m: int = 30) -> CheckResult:
+def check_fence_fibonacci(max_m: int = 30) -> Verdict:
     for m in range(max_m + 1):
         if fence.count_ideals(m) != fib(m + 2):
-            return _result("fence ideal count Fibonacci form", f"m = {m}")
-    return _result("fence ideal count Fibonacci form", None, f"m <= {max_m}")
+            return _fail(f"m = {m}")
+    return _ok(f"m <= {max_m}")
 
 
-def check_fence_duality(max_m: int = 12) -> CheckResult:
+def check_fence_duality(max_m: int = 12) -> Verdict:
     for m in range(max_m + 1):
         if count_ideals_oracle(m) != count_filters_oracle(m):
-            return _result("fence ideal/filter duality", f"m = {m}")
-    return _result("fence ideal/filter duality", None, f"m <= {max_m}")
+            return _fail(f"m = {m}")
+    return _ok(f"m <= {max_m}")
 
 
-def check_beck_identities(max_n: int = 40) -> CheckResult:
+def check_beck_identities(max_n: int = 40) -> Verdict:
     """Both Fibonacci split identities obtained from fence-ideal counting:
     F_n = F_k F_{n+1-k} + F_{k-1} F_{n-k}
         = F_{k-1} F_{n+2-k} + F_{k-2} F_{n+1-k}."""
@@ -874,75 +849,75 @@ def check_beck_identities(max_n: int = 40) -> CheckResult:
             first = fib(k) * fib(n + 1 - k) + fib(k - 1) * fib(n - k)
             second = fib(k - 1) * fib(n + 2 - k) + fib(k - 2) * fib(n + 1 - k)
             if not fib(n) == first == second:
-                return _result("Fibonacci split identities", f"(n, k) = ({n}, {k})")
-    return _result("Fibonacci split identities", None, f"n <= {max_n}")
+                return _fail(f"(n, k) = ({n}, {k})")
+    return _ok(f"n <= {max_n}")
 
 
 # -------------------------------------------------------------------- suites
 
-Check = Callable[[], CheckResult]
+Check = Callable[[], Verdict]
 
-SUITES: Dict[str, Tuple[Check, ...]] = {
+SUITES: Dict[str, Tuple[Tuple[str, Check], ...]] = {
     "arith": (
-        check_fibonomial_symmetry,
-        check_fibonomial_recurrences,
-        check_fibonomial_integrality,
-        check_falling_factorial_identity,
-        check_q_binomial_coefficients,
-        check_konvalina_oracles,
-        check_konvalina_binomial_preset,
-        check_konvalina_stirling_presets,
-        check_konvalina_gaussian_preset,
-        check_decimal_strings,
+        ("fibonomial symmetry", check_fibonomial_symmetry),
+        ("fibonomial recurrence consistency", check_fibonomial_recurrences),
+        ("fibonomial integrality", check_fibonomial_integrality),
+        ("falling times complementary factorial", check_falling_factorial_identity),
+        ("q-binomial coefficient nonnegativity and sum", check_q_binomial_coefficients),
+        ("weighted coefficients vs brute-force oracles", check_konvalina_oracles),
+        ("ones preset reproduces binomials", check_konvalina_binomial_preset),
+        ("arithmetic preset reproduces Stirling numbers", check_konvalina_stirling_presets),
+        ("geometric preset reproduces q-binomials", check_konvalina_gaussian_preset),
+        ("long decimal strings vs str()", check_decimal_strings),
     ),
     "poset": (
-        check_zeta_equivalence,
-        check_mobius_inverse,
-        check_mobius_alternating_sum,
-        check_chain_observations,
-        check_chain_counts,
+        ("zeta construction equivalence", check_zeta_equivalence),
+        ("mobius inverse", check_mobius_inverse),
+        ("mobius alternating sum", check_mobius_alternating_sum),
+        ("maximal chain observations", check_chain_observations),
+        ("all-chain counts vs brute force", check_chain_counts),
     ),
     "tiling": (
-        check_copy_enumeration,
-        check_divisibility_rule,
-        check_tiling_instances,
-        check_recurrence_split,
-        check_tiling_rejections,
-        check_tiling_counts,
+        ("copy enumeration counts", check_copy_enumeration),
+        ("tiling construction vs exact-cover search", check_divisibility_rule),
+        ("tiling construction on contract instances", check_tiling_instances),
+        ("Fibonomial recurrence split of the tiling", check_recurrence_split),
+        ("tiling verification rejects tampered tilings", check_tiling_rejections),
+        ("tiling counts vs exact-cover search", check_tiling_counts),
     ),
     "paths": (
-        check_paths_identity,
-        check_path_sum_rows,
-        check_determinant_routes,
+        ("path determinant sum identity", check_paths_identity),
+        ("characteristic polynomial path sums", check_path_sum_rows),
+        ("fraction-free vs cofactor determinant", check_determinant_routes),
     ),
     "fence": (
-        check_fence_oracle,
-        check_fence_transfer,
-        check_fence_fibonacci,
-        check_fence_duality,
-        check_beck_identities,
+        ("fence ideals vs brute force", check_fence_oracle),
+        ("fence ideals vs step-by-step transfer", check_fence_transfer),
+        ("fence ideal count Fibonacci form", check_fence_fibonacci),
+        ("fence ideal/filter duality", check_fence_duality),
+        ("Fibonacci split identities", check_beck_identities),
     ),
 }
 
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def _run_check(check: Check) -> CheckResult:
-    """check() with its wall time, or a failed result naming what it raised:
-    a route that raises fails its own check and the remaining checks still run."""
+def _run_check(name: str, check: Check) -> CheckResult:
+    """check()'s verdict under its name, with its wall time; a check that
+    raises fails under its name and the remaining checks still run."""
     started = time.perf_counter()
     try:
-        result = check()
+        passed, detail = check()
     except Exception as exc:
-        result = CheckResult(check.__name__, False, f"raised {type(exc).__name__}: {exc}")
-    return replace(result, seconds=time.perf_counter() - started)
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(name, passed, detail, time.perf_counter() - started)
 
 
 def run_suite(name: str) -> List[CheckResult]:
     if name == "all":
-        checks = [check for suite in SUITES.values() for check in suite]
+        checks = [named for suite in SUITES.values() for named in suite]
     elif name in SUITES:
-        checks = list(SUITES[name])
+        checks = SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return [_run_check(check) for check in checks]
+    return [_run_check(*named) for named in checks]

@@ -48,9 +48,9 @@ EXPECTED_ZETA_BLOCK_15 = (
 )
 
 
-def _passes(*results):
-    for result in results:
-        assert result.passed, f"{result.name}: {result.detail}"
+def _passes(*verdicts):
+    for verdict in verdicts:
+        assert verdict.passed, verdict.detail
 
 
 def test_criterion_1_fibonomial_engine():

@@ -889,11 +889,12 @@ def test_verify_reports_a_raising_check(monkeypatch, capsys):
         raise IndexError("list index out of range")
 
     fence = verify.SUITES["fence"]
-    monkeypatch.setitem(verify.SUITES, "fence", (check_broken_route, *fence))
+    monkeypatch.setitem(verify.SUITES, "fence", (("broken route", check_broken_route), *fence))
     code, out, err = run(capsys, "verify", "--suite", "fence")
     assert code == 1
     lines = out.splitlines()
-    assert lines[0] == "FAIL check_broken_route (raised IndexError: list index out of range)"
+    assert lines[0] == "FAIL broken route (raised IndexError: list index out of range)"
+    assert err.splitlines()[0].startswith("check broken route wall time: ")
     assert len(lines) == len(fence) + 2
     assert all(line.startswith("PASS") for line in lines[1:-1])
     assert lines[-1] == "suite fence: FAIL"

@@ -94,6 +94,24 @@ def test_queries_name_the_first_bad_index(query, bad):
     assert str(info.value) == f"linear index {bad} out of range 1..7"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: P4.linear_index((1.5, 3)),
+        lambda: P4.linear_index((1, "3")),
+        lambda: enumerate_max_chains(P4, (1.0, 2), 3),
+        lambda: enumerate_max_chains(P4, (1, 2), 3.0),
+        lambda: count_max_chains_from_vertex(P4, (1, 2.0), 4),
+        lambda: count_max_chains_from_vertex(P4, (1, 2), 4.5),
+    ],
+)
+def test_cold_entry_points_refuse_non_integer_coordinates(call):
+    # int() would truncate 1.5 to 1; the warm queries (leq, level_of,
+    # coord_of, count_all_chains) keep to their range test
+    with pytest.raises(TypeError):
+        call()
+
+
 @pytest.mark.parametrize("x, y", [(0, 8), (1, 8)])
 def test_matrix_entries_out_of_range(x, y):
     with pytest.raises(ValueError) as info:

@@ -46,7 +46,8 @@ def test_enumerate_copies_guard():
     def guarded():
         return verify.check_copy_enumeration(((6, 3),))  # 13 * 21 * C(34, 2) copies
 
-    result = verify._run_check(guarded)
+    result = verify._run_check("copy enumeration counts", guarded)
+    assert result.name == "copy enumeration counts"
     assert not result.passed
     assert result.detail == (
         "raised GuardExceeded: candidate copy count = 153153 exceeds guard limit 100000"
@@ -120,6 +121,10 @@ def test_guards_and_validation_come_before_the_divisibility_rule():
             call(0, 1, 3)
         with pytest.raises(ValueError, match="height must be >= 1, got -5"):
             call(1, 1, -5)
+        # int() would truncate 1.5 to 1
+        for k, r, m in ((3, 1.5, 2), (3.0, 1, 2), (3, 1, 2.0), (3, "1", 2)):
+            with pytest.raises(TypeError):
+                call(k, r, m)
 
 
 def test_guard_message_shows_long_values_as_digit_counts():
@@ -245,6 +250,19 @@ def test_verify_tiling_rejects_tampering():
     moved = TilingSolution(VertexCoord(2, 3), solution.height, solution.copies)
     assert not verify_tiling(moved)
 
+    # chain (1, 1) uncovered, (1, 1.5) covered instead: every count still holds
+    first = solution.copies[0]
+    assert first.chosen == ((1,), (1,))
+    half = CopySpec(first.root, ((1,), (1.5,)))
+    assert not verify_tiling(
+        TilingSolution(solution.root, solution.height, (half,) + solution.copies[1:])
+    )
+
+    # a root or height that only equals an integer
+    for root, height in ((VertexCoord(1.0, 3), 2), (VertexCoord(1, 3.0), 2), (solution.root, 2.0)):
+        copies = tuple(CopySpec(root, c.chosen) for c in solution.copies)
+        assert not verify_tiling(TilingSolution(root, height, copies))
+
 
 def test_verify_tiling_rejects_malformed_copy():
     solution = find_tiling(1, 1, 2)
@@ -270,6 +288,8 @@ def test_a_tiling_is_its_copies():
 def _verify_tiling_per_copy(t: TilingSolution) -> bool:
     """The per-copy verify_tiling that the bulk check replaced: the reference."""
     k, m = t.root.s, t.height
+    if not all(isinstance(v, int) for v in (k, t.root.j, m)):
+        return False
     if not (k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
         return False
     seen: Set[ChainTuple] = set()
@@ -279,7 +299,7 @@ def _verify_tiling_per_copy(t: TilingSolution) -> bool:
         for s, subset in enumerate(c.chosen, start=1):
             if len(subset) != fib(s) or len(set(subset)) != len(subset):
                 return False
-            if not all(1 <= pos <= fib(k + s) for pos in subset):
+            if not all(isinstance(pos, int) and 1 <= pos <= fib(k + s) for pos in subset):
                 return False
         for chain in product(*c.chosen):
             if chain in seen:

@@ -4,13 +4,29 @@ from itertools import product
 
 import pytest
 
-from fibcobweb import cli, cobweb, tiling, verify
+from fibcobweb import cli, cobweb, tiling, verify, weighted
 from fibcobweb.seqcore import fib
 
 
 def test_suite_names():
     assert set(verify.SUITE_NAMES) == {"arith", "poset", "tiling", "paths", "fence", "all"}
     assert cli.VERIFY_SUITES == verify.SUITE_NAMES  # the --suite choices
+
+
+def test_each_check_reports_under_its_one_name_in_the_table():
+    names = [name for suite in verify.SUITES.values() for name, _ in suite]
+    assert len(set(names)) == len(names) == 29
+    assert [r.name for r in verify.run_suite("all")] == names
+
+
+def test_a_failing_check_reports_under_its_passing_name(monkeypatch):
+    c_coeff = weighted.c_coeff
+    monkeypatch.setattr(weighted, "c_coeff", lambda ws, k: c_coeff(ws, k) + 1)
+    results = {r.name: r for r in verify.run_suite("arith")}
+    failed = results["weighted coefficients vs brute-force oracles"]
+    assert not failed.passed
+    assert failed.detail == "counterexample: first kind, w = (), k = 0"
+    assert results["fibonomial symmetry"].passed
 
 
 def test_unknown_suite_rejected():
