@@ -30,11 +30,14 @@ TEXT_MATRIX_LIMIT = 12
 HASSE_LIMIT = 10
 # `chains 1 N` takes about 1 s at N = 2500: the count has about 0.35 N^2 bits.
 CHAINS_LIMIT = 2500
-# `konvalina` makes a row of k + 1 cells, then sweeps it once per weight: a
+# `konvalina` builds and checks a preset's n weights of up to log2(max w)
+# bits, makes a row of k + 1 cells, then sweeps it once per weight: a
 # multiply-add on up to k log2(max w) + min(n, k) log2(n + k) bits per cell,
-# plus a loop step worth about KONVALINA_CELL_BITS bits. A call at the limit
-# takes about 1 s: geometric:400:3 at k = 200 estimates 1.3e10 and took
-# 0.94 s (first kind) and 2.32 s (second kind) on Python 3.11, 2 vCPUs.
+# plus a loop step worth about KONVALINA_CELL_BITS bits; each weight costs
+# another 8 such steps to build and check, and 8 in the sweep. A call at the
+# limit takes about 1 s (Python 3.11, 2 vCPUs): geometric:400:3 at k = 200
+# estimates 1.3e10 and took 0.5 s (first kind) and 1.4 s (second kind);
+# ones:1100000 at k = 1 estimates 9.6e9 and took 0.9 s (first kind).
 KONVALINA_LIMIT = 10**10
 KONVALINA_CELL_BITS = 512
 # A `cobweb fence M` child takes about 0.7 s at M = 3,000,000 and 2.0 s at
@@ -450,13 +453,18 @@ def _cmd_konvalina(args, out: _Output) -> int:
             ) from exc
         log2_max = weighted.preset_log2(kind, n, *q)
     first, k = args.kind == "first", args.k
-    if k >= 0 and not (first and k > n):  # else the library refuses, or gives 0 at once
+    coefficient = weighted.c_coeff if first else weighted.s_coeff
+    if k < 0:
+        coefficient((), k)  # the library's refusal, before any weight is built
+    step = 8 * KONVALINA_CELL_BITS
+    cost = 0 if args.weights is not None else n * (log2_max + step)
+    if not (first and k > n):  # else 0, with no sweep
         cell_bits = k * log2_max + min(n, k) * (n + k).bit_length() + KONVALINA_CELL_BITS
-        cost = (n + 1) * k * cell_bits
-        ensure_within("konvalina cost estimate", cost, KONVALINA_LIMIT, args.unsafe_limits)
+        cost += (n + 1) * (k * cell_bits + step)
+    ensure_within("konvalina cost estimate", cost, KONVALINA_LIMIT, args.unsafe_limits)
     if args.weights is None:  # geometric:1000000:3 would hold about 100 GB
         wv = weighted.preset_weights(kind, n, *q)
-    value = (weighted.c_coeff if first else weighted.s_coeff)(wv, k)
+    value = coefficient(wv, k)
     out.emit_value({"kind": args.kind, "weights": list(wv), "k": k}, value)
     return 0
 

@@ -38,7 +38,7 @@ from math import prod
 from operator import index
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from .guards import ensure_within
+from .guards import ensure_within, guarded_factors
 from .seqcore import exact_div, f_falling, fib
 
 ENUMERATION_LIMIT = 10**6
@@ -272,25 +272,32 @@ def mobius(p: CobwebPoset, unsafe_limits: bool = False) -> IncMatrix:
     return _mobius(p.max_level)
 
 
-def count_max_chains_from_vertex(p: CobwebPoset, v: VertexCoord, n: int) -> int:
-    """Maximal chains from v (any vertex of its level) up to level n."""
+def _check_target(p: CobwebPoset, v: VertexCoord, n: int) -> Tuple[VertexCoord, int]:
+    """(v, n) coerced, once v is a vertex of p and n a level from v's up."""
     v, n = p._check_coord(v), index(n)
     if not v.s <= n <= p.max_level:
         raise ValueError(f"target level {n} out of range {v.s}..{p.max_level}")
+    return v, n
+
+
+def count_max_chains_from_vertex(p: CobwebPoset, v: VertexCoord, n: int) -> int:
+    """Maximal chains from v (any vertex of its level) up to level n."""
+    v, n = _check_target(p, v, n)
     return f_falling(n, n - v.s)
 
 
 def enumerate_max_chains(
     p: CobwebPoset, v: VertexCoord, n: int, unsafe_limits: bool = False
 ) -> List[Tuple[VertexCoord, ...]]:
-    """All maximal chains from v to level n, in lexicographic order."""
-    v, n = p._check_coord(v), index(n)
-    total = count_max_chains_from_vertex(p, v, n)
-    ensure_within("maximal chain count", total, ENUMERATION_LIMIT, unsafe_limits)
-    upper = [
-        [VertexCoord(j, s) for j in range(1, p.level_sizes[s - 1] + 1)]
-        for s in range(v.s + 1, n + 1)
-    ]
+    """All maximal chains from v to level n, in lexicographic order. Their
+    count F_{v.s+1} ... F_n is guarded smallest factor first."""
+    v, n = _check_target(p, v, n)
+    levels = range(v.s + 1, n + 1)
+    guarded_factors(
+        "maximal chain count", lambda s: p.level_sizes[s - 1], levels, ENUMERATION_LIMIT,
+        unsafe_limits,
+    )
+    upper = [[VertexCoord(j, s) for j in range(1, p.level_sizes[s - 1] + 1)] for s in levels]
     return list(product((v,), *upper))
 
 

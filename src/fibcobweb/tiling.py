@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass
 from itertools import product, repeat
 from operator import index
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cobweb import VertexCoord
-from .guards import _shown, ensure_within
+from .guards import _shown, guarded_factors
 from .seqcore import f_falling, fib
 
 ChainTuple = Tuple[int, ...]
@@ -94,11 +94,12 @@ def no_cover_reason(k: int, m: int) -> Optional[str]:
     return None
 
 
-def _reason_after_guard(k: int, m: int, unsafe_limits: bool) -> Optional[str]:
-    """no_cover_reason(k, m), once the chain universe is guarded."""
-    universe_size = f_falling(k + m, m)
-    ensure_within("chain universe size", universe_size, UNIVERSE_LIMIT, unsafe_limits)
-    return no_cover_reason(k, m)
+def _guarded_levels(k: int, m: int, unsafe_limits: bool) -> List[int]:
+    """The level sizes F_{k+1}, ..., F_{k+m} above a level-k root, built
+    smallest first under the guard on their product, the chain universe."""
+    return guarded_factors(
+        "chain universe size", fib, range(k + 1, k + m + 1), UNIVERSE_LIMIT, unsafe_limits
+    )
 
 
 def find_tiling(
@@ -112,12 +113,13 @@ def find_tiling(
     against the first cover of the exact-cover search where that is feasible.
     """
     k, r, m = _validate(k, r, m)
-    if _reason_after_guard(k, m, unsafe_limits):
+    tops = _guarded_levels(k, m, unsafe_limits)
+    if no_cover_reason(k, m):
         return None
     blocks = []
-    for s in range(1, m + 1):
+    for s, top in enumerate(tops, start=1):
         size = fib(s)
-        blocks.append([tuple(range(i, i + size)) for i in range(1, fib(k + s) + 1, size)])
+        blocks.append([tuple(range(i, i + size)) for i in range(1, top + 1, size)])
     root = VertexCoord(r, k)
     return TilingSolution(root, m, tuple(map(CopySpec, repeat(root), product(*blocks))))
 
@@ -136,13 +138,14 @@ def count_all_tilings(k: int, r: int, m: int, unsafe_limits: bool = False) -> in
     m = 3. For m >= 4 (then 12 | k, and the smallest fibre is a 610 x 987
     grid of 2 x 3 boxes) no closed form is known: ValueError."""
     k, r, m = _validate(k, r, m)
-    if _reason_after_guard(k, m, unsafe_limits):
+    tops = _guarded_levels(k, m, unsafe_limits)
+    if no_cover_reason(k, m):
         return 0
     if m <= 2:
         return 1
     if m > 3:
         raise ValueError(f"no closed form is known for tiling counts at height {m}")
-    return _pair_tilings(fib(k + 1), fib(k + 2), fib(k + 3))
+    return _pair_tilings(*tops)
 
 
 def _integers(values) -> bool:
@@ -170,8 +173,8 @@ def verify_tiling(t: TilingSolution) -> bool:
     if not (_integers((k, t.root.j, m)) and k >= 1 and 1 <= t.root.j <= fib(k) and m >= 1):
         return False
     copies = t.copies
-    if any(c.root != t.root or len(c.chosen) != m for c in copies):
-        return False
+    if not copies or any(c.root != t.root or len(c.chosen) != m for c in copies):
+        return False  # an empty family covers none of the f_falling(k + m, m) >= 1 chains
     sizes = [fib(s) for s in range(1, m + 1)]
     tops = [fib(k + s) for s in range(1, m + 1)]
     for size, top, level in zip(sizes, tops, zip(*(c.chosen for c in copies))):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, repeat
 from typing import Iterable
 
 from .guards import ensure_within
@@ -121,4 +121,4 @@ def preset_weights(kind: str, n: int, q: int | None = None) -> WeightVector:
         return WeightVector((1,) * n)
     if kind == "arithmetic":
         return WeightVector(range(1, n + 1))
-    return WeightVector(q**i for i in range(n))
+    return WeightVector(accumulate(repeat(q, n - 1), operator.mul, initial=1))

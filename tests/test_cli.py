@@ -236,6 +236,23 @@ def test_tiling_count_all_unsafe_ends_quickly(argv, exit_code):
         assert proc.stderr.splitlines()[-1].startswith("error: no closed form")
 
 
+@pytest.mark.parametrize("extra", [[], ["--count-all"]])
+def test_tiling_universe_guard_refuses_before_the_last_factor(extra):
+    # F_2 ... F_20001 has about 1.4e8 bits; the running product passes the
+    # limit at F_8, so the refusal gives it as a lower bound
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibcobweb", "tiling", "1", "1", "20000", *extra],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "guard exceeded: chain universe size >= 65520 exceeds guard limit 10000\n"
+        "rerun with --unsafe-limits to override\n"
+    )
+
+
 def _limit_address_space():
     import resource
 
@@ -479,6 +496,10 @@ def test_konvalina_second_kind_from_no_boxes(capsys):
         # the weights would take about 100 GB: refused before they are built
         ("second", "2", "--preset", "geometric:1000000:3"),
         ("second", "1000000000", "--weights", ""),
+        # building and checking the weights is counted, whatever k is
+        ("first", "0", "--preset", "ones:30000000"),
+        ("second", "1", "--preset", "geometric:60000:3"),
+        ("second", "1", "--preset", "ones:10000000"),
     ],
 )
 def test_konvalina_guard_refuses_before_computing(argv):
@@ -499,10 +520,13 @@ def test_konvalina_guard_refuses_before_computing(argv):
 
 
 def test_konvalina_guard_admits_cheap_calls():
-    # a first-kind k > n is 0 at once; one unit weight is a long cheap sweep
+    # a first-kind k > n is 0 once the weights are built; one unit weight is
+    # a long cheap sweep; k = 0 sweeps the weights once
     for argv, want in (
         (("first", "1000000000", "--preset", "arithmetic:5"), "0\n"),
         (("second", "3000000", "--weights", "1"), "1\n"),
+        (("first", "70000", "--preset", "geometric:60000:3"), "0\n"),
+        (("second", "0", "--preset", "geometric:60000:3"), "1\n"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "fibcobweb", "konvalina", *argv],

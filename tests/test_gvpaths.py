@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 
@@ -70,14 +69,6 @@ def test_char_poly_rejects_non_square():
         char_poly([[1, 2], [3, 4], [5, 6]])
 
 
-def test_path_matrices_against_cofactor():
-    for n in range(7):
-        for k in range(min(4, n + 1) + 1):
-            for r in combinations(range(n + 1), k):
-                m = _path_matrix(r, n)
-                assert det_exact(m) == det_cofactor(m)
-
-
 def test_fibonomial_via_paths_examples():
     assert fibonomial_via_paths(2, 1) == 2
     assert fibonomial_via_paths(3, 2) == 6
@@ -90,13 +81,6 @@ def test_fibonomial_via_paths_identity():
     for n in range(9):
         for k in range(n + 2):
             assert fibonomial_via_paths(n, k) == fibonomial(n + 1, k)
-
-
-def test_path_counts_nonnegative():
-    for n in range(9):
-        for k in range(n + 2):
-            for r in combinations(range(n + 1), k):
-                assert det_exact(_path_matrix(r, n)) >= 0
 
 
 def test_fibonomial_via_paths_guard():

@@ -302,12 +302,6 @@ def test_fibonomial_division_always_exact():
             fibonomial(n, k)
 
 
-def test_falling_times_complementary_factorial():
-    for n in range(41):
-        for k in range(n + 1):
-            assert f_falling(n, k) * f_factorial(n - k) == f_factorial(n)
-
-
 def test_fibonomial_rec_examples():
     assert fibonomial_rec(6, 2, "A") == 40
     assert fibonomial_rec(6, 2, "B") == 40
@@ -375,14 +369,6 @@ def test_q_binomial_matches_subset_sums():
     for n in range(11):
         for k in range(n + 2):
             assert q_binomial(n, k).coeffs == _q_binomial_by_subset_sums(n, k)
-
-
-def test_q_binomial_coefficients_nonnegative_and_sum_to_binomial():
-    for n in range(13):
-        for k in range(n + 1):
-            poly = q_binomial(n, k)
-            assert all(c >= 0 for c in poly.coeffs)
-            assert poly.evaluate(1) == math.comb(n, k)
 
 
 def test_q_binomial_degree():

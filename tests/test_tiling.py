@@ -1,5 +1,6 @@
 import math
-from dataclasses import fields, replace
+import time
+from dataclasses import fields
 from itertools import product
 from typing import Set
 
@@ -264,6 +265,13 @@ def test_verify_tiling_rejects_tampering():
         assert not verify_tiling(TilingSolution(root, height, copies))
 
 
+def test_verify_tiling_rejects_no_copies_before_building_the_universe():
+    # the universe F_2 ... F_6001 has about 1.2e7 bits
+    started = time.perf_counter()
+    assert not verify_tiling(TilingSolution(VertexCoord(1, 1), 6000, ()))
+    assert time.perf_counter() - started < 1
+
+
 def test_verify_tiling_rejects_malformed_copy():
     solution = find_tiling(1, 1, 2)
     bad_copy = CopySpec(solution.root, ((1,), (0,)))  # position 0 out of range
@@ -277,7 +285,7 @@ def test_a_tiling_is_its_copies():
     assert [f.name for f in fields(TilingSolution)] == ["root", "height", "copies"]
     t = find_tiling(3, 1, 3)
     # the same partition numbered backwards: the map follows the copies
-    renumbered = replace(t, copies=t.copies[::-1])
+    renumbered = TilingSolution(t.root, t.height, t.copies[::-1])
     assert verify_tiling(renumbered)
     last = len(t.copies) - 1
     assert renumbered.assignment == {
@@ -309,7 +317,7 @@ def _verify_tiling_per_copy(t: TilingSolution) -> bool:
 
 
 def _with_list_subsets(t):
-    return replace(t, copies=tuple(
+    return TilingSolution(t.root, t.height, tuple(
         CopySpec(c.root, tuple(list(subset) for subset in c.chosen)) for c in t.copies
     ))
 
